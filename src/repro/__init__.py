@@ -24,25 +24,11 @@ Sub-packages: ``sim`` (event kernel), ``models``, ``hardware``, ``perf``
 (instances/requests/KV-cache), ``compute`` (headroom & shadow validation),
 ``memory`` (watermark & hazard-aware orchestration), ``consolidation``,
 ``policies`` (composable policy layer + event bus), ``core`` (the
-serving loop), ``baselines`` (deprecated shims), ``workloads``,
-``metrics``, and ``experiments`` (one runner per paper table/figure).
+serving loop), ``workloads``, ``metrics``, and ``experiments`` (one
+runner per paper table/figure).
 """
 
-from repro.baselines import (
-    NeoSystem,
-    PdSllmSystem,
-    PdSlinfer,
-    make_sllm,
-    make_sllm_c,
-    make_sllm_cs,
-)
-from repro.core import (
-    BaseServingSystem,
-    ServingSystem,
-    Slinfer,
-    SlinferConfig,
-    SystemConfig,
-)
+from repro.core import ServingSystem, SlinferConfig, SystemConfig
 from repro.hardware import Cluster, paper_testbed
 from repro.policies import EventBus, PolicyBundle, build_bundle
 from repro.metrics import RunReport
@@ -60,14 +46,10 @@ from repro.slo import DEFAULT_SLO, SloPolicy, ttft_slo
 __version__ = "1.1.0"
 
 __all__ = [
-    "BaseServingSystem",
     "CLUSTERS",
     "Cluster",
     "DEFAULT_SLO",
     "EventBus",
-    "NeoSystem",
-    "PdSllmSystem",
-    "PdSlinfer",
     "ResultCache",
     "RunReport",
     "RunResult",
@@ -76,7 +58,6 @@ __all__ = [
     "SCENARIOS",
     "SYSTEMS",
     "ServingSystem",
-    "Slinfer",
     "SlinferConfig",
     "SloPolicy",
     "SweepExecutor",
@@ -85,9 +66,6 @@ __all__ = [
     "build_cluster",
     "execute_spec",
     "expand_grid",
-    "make_sllm",
-    "make_sllm_c",
-    "make_sllm_cs",
     "paper_testbed",
     "system_factory",
     "ttft_slo",

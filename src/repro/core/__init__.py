@@ -1,14 +1,10 @@
-"""Serving-system core: the composable loop, configuration, and shims."""
+"""Serving-system core: the composable loop and its configuration."""
 
-from repro.core.base import BaseServingSystem
 from repro.core.config import SlinferConfig, SystemConfig
-from repro.core.slinfer import Slinfer
 from repro.core.system import ServingSystem
 
 __all__ = [
-    "BaseServingSystem",
     "ServingSystem",
-    "Slinfer",
     "SlinferConfig",
     "SystemConfig",
 ]

@@ -154,11 +154,13 @@ class ServingSystem:
         self._last_retry_at = -1.0
         self._retry_dirty = True
         # Stepped-run state (begin_run/advance/finish_run): the horizon
-        # computed at begin, the workload being served, and the
-        # wall-clock mark the final report's cost accounting starts from.
+        # computed at begin, the workload being served, and the host
+        # seconds spent inside those calls — the report's wall_seconds,
+        # which must not include time a federation spends on other shards
+        # between this shard's steps.
         self.run_horizon: Optional[float] = None
         self._run_workload: Optional[Union[Workload, WorkloadStream]] = None
-        self._run_started: float = 0.0
+        self._run_seconds: float = 0.0
 
     # ------------------------------------------------------------------
     # Entry point
@@ -197,7 +199,7 @@ class ServingSystem:
         workload window plus the drain timeout, else ``None`` for live
         streams (run until the source closes).
         """
-        self._run_started = _wallclock.perf_counter()
+        start = _wallclock.perf_counter()
         self._run_workload = workload
         self.deployments = dict(workload.deployments)
         self.policies.prepare(self, workload)
@@ -215,6 +217,7 @@ class ServingSystem:
             self.run_horizon = workload.duration + self.config.drain_timeout
         else:
             self.run_horizon = None  # live stream: run until the source closes + drain
+        self._run_seconds = _wallclock.perf_counter() - start
 
     def advance(self, until: Optional[float]) -> None:
         """Execute events up to ``until`` (simulated seconds).
@@ -226,7 +229,9 @@ class ServingSystem:
         be injected between calls as long as they lie at or beyond the
         current simulation time.
         """
+        start = _wallclock.perf_counter()
         self.engine.run_loop(self, until)
+        self._run_seconds += _wallclock.perf_counter() - start
 
     def inject_arrival(self, spec) -> None:
         """Schedule one externally-routed arrival (federation hand-off).
@@ -239,6 +244,7 @@ class ServingSystem:
 
     def finish_run(self) -> RunReport:
         """Assemble the report for a run begun with :meth:`begin_run`."""
+        start = _wallclock.perf_counter()
         workload = self._run_workload
         if workload is None:
             raise RuntimeError("finish_run() without begin_run()")
@@ -254,7 +260,7 @@ class ServingSystem:
         # drained system before the report is assembled.
         maybe_audit(self)
         report = self.metrics.finalize(self.sim.now, duration, self.name)
-        report.wall_seconds = _wallclock.perf_counter() - self._run_started
+        report.wall_seconds = self._run_seconds + (_wallclock.perf_counter() - start)
         report.events_processed = self.sim.events_processed
         return report
 

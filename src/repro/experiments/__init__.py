@@ -1,7 +1,7 @@
 """Experiment runners: one function per table/figure of the paper.
 
 Each runner returns plain data (lists of labelled rows / series) that the
-benchmark harness prints and EXPERIMENTS.md records.  Scale is controlled
+benchmark harness (``benchmarks/bench_*.py``) prints.  Scale is controlled
 by the ``REPRO_SCALE`` environment variable: ``full`` replays the paper's
 30-minute traces; the default replays proportionally thinned 10-minute
 segments so the whole suite finishes quickly.
@@ -11,7 +11,6 @@ from repro.experiments.common import (
     ExperimentScale,
     current_scale,
     make_azure_workload,
-    standard_systems,
     systems_named,
 )
 from repro.experiments.discussion import run_quantization_comparison
@@ -69,6 +68,5 @@ __all__ = [
     "render_fig22",
     "render_reports",
     "render_table2",
-    "standard_systems",
     "systems_named",
 ]

@@ -2,17 +2,13 @@
 
 Scale control lives in :mod:`repro.runner.scale`; systems, clusters, and
 scenarios are resolved through :mod:`repro.registry`.  This module keeps
-the experiment-facing conveniences (and their historical import paths).
+the experiment-facing conveniences.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.hardware.cluster import Cluster, paper_testbed
-from repro.metrics.report import RunReport
 from repro.models.catalog import ModelSpec
-from repro.registry import SCENARIOS, STANDARD_SYSTEMS, SYSTEMS, systems_named
+from repro.registry import SCENARIOS, systems_named
 from repro.runner.scale import (
     FULL_SCALE,
     QUICK_SCALE,
@@ -28,15 +24,10 @@ __all__ = [
     "FULL_SCALE",
     "QUICK_SCALE",
     "SMOKE_SCALE",
-    "SystemFactory",
     "current_scale",
     "make_azure_workload",
-    "run_on_testbed",
-    "standard_systems",
     "systems_named",
 ]
-
-SystemFactory = Callable[[Cluster], object]
 
 
 def make_azure_workload(
@@ -57,16 +48,3 @@ def make_azure_workload(
         dataset=length_distribution.name,
     )
 
-
-def standard_systems() -> dict[str, SystemFactory]:
-    """The four systems of the end-to-end comparison (§IX-B)."""
-    return {name: SYSTEMS.get(name) for name in STANDARD_SYSTEMS}
-
-
-def run_on_testbed(
-    factory: SystemFactory,
-    workload: Workload,
-    cluster: Cluster | None = None,
-) -> RunReport:
-    system = factory(cluster if cluster is not None else paper_testbed())
-    return system.run(workload)

@@ -2,7 +2,7 @@
 
 Turns the structured rows the experiment runners return into GitHub-style
 markdown tables, so regenerated results can be pasted straight into
-EXPERIMENTS.md or reports.
+reports.
 """
 
 from __future__ import annotations

@@ -117,7 +117,7 @@ class RunReport:
     shared_block_refs: int = 0
     logical_prompt_blocks: int = 0
     cow_blocks: int = 0
-    # Run-cost accounting (set by BaseServingSystem.run).
+    # Run-cost accounting (set by ServingSystem.finish_run).
     wall_seconds: float = 0.0
     events_processed: int = 0
     # Streaming-mode payload (None/empty in exact mode).

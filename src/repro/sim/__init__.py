@@ -12,10 +12,8 @@ keeps each serving system single-threaded and fully deterministic.
 # the re-export in ``repro.registry``).
 from repro.sim.rng import make_rng, spawn_rngs
 from repro.sim.simulator import EventHandle, SimulationError, Simulator
-from repro.sim.state_table import DecodeStateTable
 
 __all__ = [
-    "DecodeStateTable",
     "EventHandle",
     "SimulationError",
     "Simulator",

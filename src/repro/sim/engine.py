@@ -17,9 +17,9 @@ Two backends are registered:
 * ``reference`` — delegates straight to ``Simulator.run``; zero
   behavioural footprint.
 * ``vectorized`` — batches runs of consecutive decode iterations into
-  array-level work.  Request decode state mirrors into the NumPy
-  array-of-struct :class:`~repro.sim.state_table.DecodeStateTable`;
-  per-iteration timestamps, deadline/violation predicates, KV growth
+  array-level work.  Each chained instance keeps its batch's deadline
+  coefficients and precomputed step tables in plain per-instance state;
+  per-iteration timestamps, deadline/violation predicates, token counts
   and the decode latency law resolve as batched operations per chain
   flush; jitter comes from the chunked PerfDatabase stream in scalar
   order.  Results are **byte-identical** to the reference backend: the
@@ -46,9 +46,8 @@ import numpy as np
 
 from repro.compute.scheduler import WorkItem, WorkKind
 from repro.policies.base import WorkSelectionPolicy
-from repro.policies.events import IterationFinished, RequestCompleted, RequestDropped
+from repro.policies.events import IterationFinished
 from repro.registries import Registry
-from repro.sim.state_table import DecodeStateTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import ServingSystem
@@ -108,9 +107,6 @@ class ReferenceEngine(EngineBackend):
 
     name = "reference"
 
-    def bind(self, system: "ServingSystem") -> None:  # zero footprint
-        self.system = system
-
     def run_loop(self, system: "ServingSystem", until: Optional[float]) -> int:
         return system.sim.run(until=until)
 
@@ -164,7 +160,6 @@ class _InstState:
     __slots__ = (
         "instance",
         "reqs",
-        "slots",
         "B",
         "base",
         "tpot",
@@ -198,7 +193,6 @@ class VectorizedEngine(EngineBackend):
     marks_decode = True
 
     def __init__(self) -> None:
-        self.table = DecodeStateTable()
         self._live: list[_ExecChain] = []
         self._classified_for: Optional[tuple] = None
         self._classified: Optional[tuple[list, list]] = None
@@ -211,14 +205,6 @@ class VectorizedEngine(EngineBackend):
     # ------------------------------------------------------------------
     # Seam hooks
     # ------------------------------------------------------------------
-    def bind(self, system: "ServingSystem") -> None:
-        self.system = system
-        system.bus.subscribe(RequestCompleted, self._release_request)
-        system.bus.subscribe(RequestDropped, self._release_request)
-
-    def _release_request(self, event) -> None:
-        self.table.release(event.request)
-
     def note_decode(self, handle: "EventHandle") -> None:
         handle.chain = _CANDIDATE
 
@@ -533,7 +519,6 @@ class VectorizedEngine(EngineBackend):
                 chain = self._resume(parked, handle, runnable, instance, batch_size, guards)
                 if chain is not None:
                     return chain
-        table = self.table
         perf = system.perf
         states: list[_InstState] = []
         pending = None
@@ -546,9 +531,9 @@ class VectorizedEngine(EngineBackend):
             if inst is instance:
                 if len(batch) != batch_size:
                     return None  # membership changed since the kick
-                pending = st = self._build_state(inst, batch, table, perf, guards)
+                pending = st = self._build_state(inst, batch, perf, guards)
             else:
-                st = self._build_state(inst, batch, table, perf, guards)
+                st = self._build_state(inst, batch, perf, guards)
             states.append(st)
         if pending is None or pending.budget < 1:
             return None
@@ -637,14 +622,12 @@ class VectorizedEngine(EngineBackend):
         self._parked.pop(executor, None)
         return chain
 
-    def _build_state(self, inst, batch, table, perf, guards) -> _InstState:
+    def _build_state(self, inst, batch, perf, guards) -> _InstState:
         st = _InstState()
         st.instance = inst
         st.reqs = reqs = list(batch)
-        st.slots = table.ensure_rows(reqs, inst.model.kv_bytes_per_token)
         # Deadline coefficients straight from the requests, as the exact
-        # partial sums of Request.next_token_deadline (the same values
-        # ensure_rows just mirrored into the table columns).
+        # partial sums of Request.next_token_deadline.
         base = st.base = [(r.arrival + r.ttft_slo) + r.grace for r in reqs]
         tpot = st.tpot = [r.tpot_slo for r in reqs]
         tok0 = st.tok0 = [r.tokens_out for r in reqs]
@@ -787,7 +770,6 @@ class VectorizedEngine(EngineBackend):
                 if request.first_token_at is None:
                     request.first_token_at = first_ts
                 request.tokens_out += m
-        self.table.add_tokens(st.slots, m)
         st.instance.iterations += m
         st.instance.decode_tokens += st.B * m
         executor.iterations += m

@@ -1,6 +1,6 @@
-"""Tests for proactive preemption (§VIII-A), at the Slinfer-integration level."""
+"""Tests for proactive preemption (§VIII-A), at the SLINFER-integration level."""
 
-from repro.core import Slinfer, SlinferConfig
+from repro.core import ServingSystem, SlinferConfig
 from repro.engine.instance import InstanceState
 from repro.hardware import Cluster
 
@@ -24,7 +24,7 @@ def test_preemption_counter_increments_under_contention():
     for i in range(24):
         arrivals.append(("hot", 6.0 + 0.4 * i, 2048, 300))
     workload = tiny_workload(arrivals, duration=300.0)
-    system = Slinfer(Cluster.build(0, 2), config=_gpu_only())
+    system = ServingSystem(Cluster.build(0, 2), policies="slinfer", config=_gpu_only())
     report = system.run(workload)
     assert report.total_requests == 27
     # The run completes without losing requests to bookkeeping.
@@ -37,7 +37,7 @@ def test_preemption_never_targets_larger_batches():
 
     arrivals = [("a", 0.5, 512, 200)] * 4 + [("b", 1.0, 512, 200)] * 2
     workload = tiny_workload(arrivals, duration=120.0)
-    system = Slinfer(Cluster.build(0, 1), config=_gpu_only())
+    system = ServingSystem(Cluster.build(0, 1), policies="slinfer", config=_gpu_only())
     system.run(workload, until=30.0)
     instances = [
         inst
@@ -56,7 +56,7 @@ def test_consolidation_disabled_never_preempts():
         arrivals += [(f"m{m}", 0.5 + 0.05 * m, 1024, 300)] * 4
     workload = tiny_workload(arrivals, duration=240.0)
     config = _gpu_only(enable_consolidation=False)
-    report = Slinfer(Cluster.build(0, 2), config=config).run(workload)
+    report = ServingSystem(Cluster.build(0, 2), policies="slinfer", config=config).run(workload)
     assert report.preemptions == 0
 
 
@@ -68,7 +68,7 @@ def test_preempted_requests_survive():
     for i in range(16):
         arrivals.append(("hot", 4.0 + 0.5 * i, 2048, 250))
     workload = tiny_workload(arrivals, duration=300.0)
-    system = Slinfer(Cluster.build(0, 2), config=_gpu_only())
+    system = ServingSystem(Cluster.build(0, 2), policies="slinfer", config=_gpu_only())
     report = system.run(workload)
     from repro.engine.request import RequestState
 

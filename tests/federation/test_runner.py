@@ -10,6 +10,8 @@ is reproducible including its KV-migration count.
 from __future__ import annotations
 
 import json
+import math
+import time
 
 import pytest
 
@@ -58,6 +60,22 @@ def test_results_independent_of_worker_count(federation):
     assert _canonical(inproc.report) == _canonical(piped.report)
     assert inproc.kv_migrations == piped.kv_migrations
     assert inproc.epochs == piped.epochs
+
+
+def test_shard_wall_seconds_count_only_their_own_steps():
+    """In-process shards are built together and then stepped one after
+    another; each shard's report must charge only the host time spent
+    inside its own run steps, not the time of the shards stepped before
+    it, so the merged wall time stays within wall × processes."""
+    start = time.perf_counter()
+    outcome = run_federation(_spec("sticky4"), workers=1)
+    wall = time.perf_counter() - start
+    assert outcome.processes == 1
+    walls = [report.wall_seconds for report in outcome.shard_reports]
+    assert len(walls) == 4
+    assert all(0.0 < shard_wall <= wall for shard_wall in walls)
+    assert math.fsum(walls) <= wall * outcome.processes
+    assert outcome.report.wall_seconds <= wall * outcome.processes
 
 
 def test_dynamic_router_epochs_and_migrations_deterministic():

@@ -49,31 +49,3 @@ def test_kv_shared_mode_reproduces_golden_bytes(system):
     assert got == fixture.read_text(encoding="utf-8")
     assert "kv_sharing" in result.canonical_report_dict()
 
-
-def _shim_factories():
-    from repro.baselines import NeoSystem, PdSlinfer, PdSllmSystem, make_sllm_cs
-    from repro.core import Slinfer
-
-    return [
-        ("slinfer", Slinfer),
-        ("sllm+c+s", make_sllm_cs),
-        ("neo+", NeoSystem),
-        ("pd-sllm", PdSllmSystem),
-        ("pd-slinfer", PdSlinfer),
-    ]
-
-
-@pytest.mark.parametrize("system,shim", _shim_factories())
-def test_deprecated_shims_match_bundles(system, shim):
-    """The one-release compat classes produce the same reports as bundles."""
-    from repro.hardware import Cluster
-    from repro.runner.spec import build_workload
-
-    spec = RunSpec(system=system, **GOLDEN_AXES)
-    workload = build_workload(spec)
-    with pytest.deprecated_call():
-        shim_report = shim(Cluster.build(2, 2)).run(workload)
-    bundle_report = execute_spec(spec, workload=build_workload(spec)).report
-    assert shim_report.to_dict(include_volatile=False) == bundle_report.to_dict(
-        include_volatile=False
-    )

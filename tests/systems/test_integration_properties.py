@@ -4,17 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import make_sllm, make_sllm_c, make_sllm_cs
-from repro.core import Slinfer, SlinferConfig
+from repro.core import ServingSystem, SlinferConfig
 from repro.engine.request import RequestState
 from repro.hardware import Cluster
 from repro.models import LLAMA32_3B
+from repro.registry import STANDARD_SYSTEMS, system_factory
 from repro.workloads import AzureServerlessConfig, synthesize_azure_trace
 from repro.workloads.azure_serverless import replica_models
 
 from tests.systems.helpers import tiny_workload
 
-ALL_SYSTEMS = [make_sllm, make_sllm_c, make_sllm_cs, Slinfer]
+# Test ids keep the labels these cases carried before systems were built
+# from registered bundles, so results stay comparable across history.
+SYSTEM_IDS = ["make_sllm", "make_sllm_c", "make_sllm_cs", "Slinfer"]
 
 
 def small_azure_workload(seed, n_models=6, duration=120.0):
@@ -24,10 +26,10 @@ def small_azure_workload(seed, n_models=6, duration=120.0):
     return synthesize_azure_trace(replica_models(LLAMA32_3B, n_models), config)
 
 
-@pytest.mark.parametrize("factory", ALL_SYSTEMS)
-def test_conservation_every_request_terminates(factory):
+@pytest.mark.parametrize("system", STANDARD_SYSTEMS, ids=SYSTEM_IDS)
+def test_conservation_every_request_terminates(system):
     workload = small_azure_workload(seed=11)
-    report = factory(Cluster.build(1, 1)).run(workload)
+    report = system_factory(system)(Cluster.build(1, 1)).run(workload)
     assert report.total_requests == workload.total_requests
     for request in report.requests:
         assert request.state in (RequestState.COMPLETED, RequestState.DROPPED)
@@ -35,10 +37,10 @@ def test_conservation_every_request_terminates(factory):
         assert request.tokens_out == request.output_len
 
 
-@pytest.mark.parametrize("factory", ALL_SYSTEMS)
-def test_tokens_accounted_on_some_hardware(factory):
+@pytest.mark.parametrize("system", STANDARD_SYSTEMS, ids=SYSTEM_IDS)
+def test_tokens_accounted_on_some_hardware(system):
     workload = small_azure_workload(seed=12)
-    report = factory(Cluster.build(1, 1)).run(workload)
+    report = system_factory(system)(Cluster.build(1, 1)).run(workload)
     completed_tokens = sum(r.tokens_out for r in report.completed)
     decoded = report.decode_tokens_cpu + report.decode_tokens_gpu
     # Every completed token beyond the prefill token was decoded somewhere.
@@ -47,11 +49,11 @@ def test_tokens_accounted_on_some_hardware(factory):
     )
 
 
-@pytest.mark.parametrize("factory", ALL_SYSTEMS)
-def test_nodes_used_bounded_by_cluster(factory):
+@pytest.mark.parametrize("system", STANDARD_SYSTEMS, ids=SYSTEM_IDS)
+def test_nodes_used_bounded_by_cluster(system):
     workload = small_azure_workload(seed=13)
     cluster = Cluster.build(2, 2)
-    report = factory(cluster).run(workload)
+    report = system_factory(system)(cluster).run(workload)
     assert report.avg_nodes_used_cpu <= len(cluster.cpu_nodes) + 1e-9
     assert report.avg_nodes_used_gpu <= len(cluster.gpu_nodes) + 1e-9
 
@@ -60,8 +62,8 @@ def test_slinfer_dominates_sllm_on_shared_low_traffic():
     # The paper's core claim, in miniature: same workload, same cluster,
     # SLINFER serves at least as many requests within SLO.
     workload = small_azure_workload(seed=14, n_models=10)
-    slinfer = Slinfer(Cluster.build(1, 1)).run(workload)
-    sllm = make_sllm(Cluster.build(1, 1)).run(workload)
+    slinfer = ServingSystem(Cluster.build(1, 1), policies="slinfer").run(workload)
+    sllm = ServingSystem(Cluster.build(1, 1), policies="sllm").run(workload)
     assert slinfer.slo_met_count >= sllm.slo_met_count
 
 
@@ -69,9 +71,11 @@ def test_slinfer_dominates_sllm_on_shared_low_traffic():
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_slinfer_random_workloads_no_oom_and_terminate(seed):
     workload = small_azure_workload(seed=seed, n_models=5, duration=90.0)
-    system = Slinfer(Cluster.build(1, 1), config=SlinferConfig(seed=seed))
+    system = ServingSystem(
+        Cluster.build(1, 1), policies="slinfer", config=SlinferConfig(seed=seed)
+    )
     report = system.run(workload)
-    for orchestrator in system._orchestrators.values():
+    for orchestrator in system.policies.placement._orchestrators.values():
         orchestrator.assert_no_oom()
     for request in report.requests:
         assert request.state in (RequestState.COMPLETED, RequestState.DROPPED)
@@ -99,9 +103,9 @@ def test_slinfer_arbitrary_arrivals(inputs):
     if not arrivals:
         return
     workload = tiny_workload(arrivals, duration=120.0)
-    system = Slinfer(Cluster.build(1, 1))
+    system = ServingSystem(Cluster.build(1, 1), policies="slinfer")
     report = system.run(workload)
-    for orchestrator in system._orchestrators.values():
+    for orchestrator in system.policies.placement._orchestrators.values():
         orchestrator.assert_no_oom()
     assert report.total_requests == len(arrivals)
 
@@ -109,7 +113,7 @@ def test_slinfer_arbitrary_arrivals(inputs):
 def test_violation_rate_of_admitted_requests_is_low():
     # Shadow validation's purpose: requests that are *served* keep SLOs.
     workload = small_azure_workload(seed=21, n_models=12, duration=180.0)
-    report = Slinfer(Cluster.build(1, 1)).run(workload)
+    report = ServingSystem(Cluster.build(1, 1), policies="slinfer").run(workload)
     completed = report.completed
     if completed:
         violated = sum(1 for r in completed if not r.slo_met)

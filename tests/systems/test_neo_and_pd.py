@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.baselines import NeoSystem, PdSllmSystem, PdSlinfer
 from repro.compute.scheduler import WorkKind
 from repro.engine.request import RequestState
 from repro.hardware import Cluster
 from repro.models import LLAMA2_7B
+from repro.registry import system_factory
 
 from tests.systems.helpers import steady_stream, tiny_workload
 
@@ -14,14 +14,24 @@ from tests.systems.helpers import steady_stream, tiny_workload
 # ----------------------------------------------------------------------
 # NEO+
 # ----------------------------------------------------------------------
+def _neo(cores, cluster=None):
+    return system_factory("neo+")(
+        cluster or Cluster.build(0, 1), harvested_cores_per_gpu=cores
+    )
+
+
+def _latency_factor(system, executor, kind):
+    return system.policies.work.latency_factor(system, executor, kind)
+
+
 def test_neo_decode_speedup_scales_with_cores():
-    base = NeoSystem(Cluster.build(0, 1), harvested_cores_per_gpu=0)
-    full = NeoSystem(Cluster.build(0, 1), harvested_cores_per_gpu=32)
+    base = _neo(0)
+    full = _neo(32)
     executor_stub = type("E", (), {"node": base.cluster.gpu_nodes[0]})()
-    assert base._iteration_latency_factor(executor_stub, WorkKind.DECODE) == 1.0
-    assert full._iteration_latency_factor(executor_stub, WorkKind.DECODE) == pytest.approx(0.75)
+    assert _latency_factor(base, executor_stub, WorkKind.DECODE) == 1.0
+    assert _latency_factor(full, executor_stub, WorkKind.DECODE) == pytest.approx(0.75)
     # Prefill is not CPU-assisted.
-    assert full._iteration_latency_factor(executor_stub, WorkKind.PREFILL) == 1.0
+    assert _latency_factor(full, executor_stub, WorkKind.PREFILL) == 1.0
 
 
 def test_neo_raises_concurrency_limit():
@@ -32,19 +42,19 @@ def test_neo_raises_concurrency_limit():
     instance = Instance(
         inst_id=0, deployment="d", model=LLAMA2_7B, node=Node("gpu-0", A100_80GB)
     )
-    none = NeoSystem(Cluster.build(0, 1), harvested_cores_per_gpu=0)
-    full = NeoSystem(Cluster.build(0, 1), harvested_cores_per_gpu=32)
-    assert full._limit(instance) > none._limit(instance)
+    none = _neo(0).policies.placement
+    full = _neo(32).policies.placement
+    assert full.limit(instance) > none.limit(instance)
 
 
 def test_neo_rejects_negative_cores():
     with pytest.raises(ValueError):
-        NeoSystem(Cluster.build(0, 1), harvested_cores_per_gpu=-1)
+        _neo(-1)
 
 
 def test_neo_serves_workload_gpu_only():
     workload = tiny_workload(steady_stream(count=6))
-    report = NeoSystem(Cluster.build(2, 2), harvested_cores_per_gpu=16).run(workload)
+    report = _neo(16, Cluster.build(2, 2)).run(workload)
     assert report.system == "neo+"
     assert report.decode_tokens_cpu == 0
     assert report.slo_met_count == 6
@@ -55,26 +65,24 @@ def test_neo_serves_workload_gpu_only():
 # ----------------------------------------------------------------------
 def test_pd_sllm_uses_separate_prefill_and_decode_instances():
     workload = tiny_workload(steady_stream(count=4, gap=10.0, output_len=40))
-    system = PdSllmSystem(Cluster.build(0, 4))
+    system = system_factory("pd-sllm")(Cluster.build(0, 4))
     report = system.run(workload)
     assert report.slo_met_count >= 3
-    roles = set(system._roles.values())
+    roles = set(system.policies.admission._roles.values())
     assert roles == {"prefill", "decode"}
 
 
 def test_pd_doubles_instance_footprint():
     workload = tiny_workload(steady_stream(count=6, gap=8.0, output_len=40))
-    aggregated = __import__("repro.baselines", fromlist=["make_sllm_cs"]).make_sllm_cs(
-        Cluster.build(0, 4)
-    ).run(workload)
-    disaggregated = PdSllmSystem(Cluster.build(0, 4)).run(workload)
+    aggregated = system_factory("sllm+c+s")(Cluster.build(0, 4)).run(workload)
+    disaggregated = system_factory("pd-sllm")(Cluster.build(0, 4)).run(workload)
     assert disaggregated.cold_starts > aggregated.cold_starts
     assert disaggregated.avg_nodes_used_gpu >= aggregated.avg_nodes_used_gpu
 
 
 def test_pd_slinfer_completes_requests_with_transfer_delay():
     workload = tiny_workload(steady_stream(count=5, gap=10.0, output_len=30))
-    report = PdSlinfer(Cluster.build(2, 2)).run(workload)
+    report = system_factory("pd-slinfer")(Cluster.build(2, 2)).run(workload)
     completed = [r for r in report.requests if r.state is RequestState.COMPLETED]
     assert len(completed) == 5
     # Generated token counts are unaffected by the attach-token mechanism:
@@ -90,6 +98,6 @@ def test_pd_requests_can_be_dropped_midway():
     for m in range(8):
         arrivals += [(f"m{m}", 1.0, 2048, 150)]
     workload = tiny_workload(arrivals, duration=240.0)
-    report = PdSllmSystem(Cluster.build(0, 1)).run(workload)
+    report = system_factory("pd-sllm")(Cluster.build(0, 1)).run(workload)
     for request in report.requests:
         assert request.state in (RequestState.COMPLETED, RequestState.DROPPED)

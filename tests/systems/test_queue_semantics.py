@@ -1,7 +1,6 @@
 """Focused tests for the shared queue / drop / retry machinery."""
 
-from repro.baselines import make_sllm
-from repro.core import Slinfer, SlinferConfig
+from repro.core import ServingSystem, SlinferConfig
 from repro.engine.request import RequestState
 from repro.hardware import Cluster
 
@@ -14,7 +13,7 @@ def test_queued_request_dropped_exactly_at_ttft_deadline():
     workload = tiny_workload(
         [("m0", 1.0, 2048, 600), ("m1", 1.2, 2048, 10)], duration=400.0
     )
-    report = make_sllm(Cluster.build(0, 1)).run(workload)
+    report = ServingSystem(Cluster.build(0, 1), policies="sllm").run(workload)
     blocked = next(r for r in report.requests if r.deployment == "m1")
     assert blocked.state is RequestState.DROPPED
     # Dropped at its queue deadline: arrival + TTFT SLO (= 4s at 2048).
@@ -30,7 +29,9 @@ def test_queued_request_placed_when_capacity_frees():
     workload = tiny_workload(
         [("m0", 1.0, 256, 1), ("m1", 1.1, 4000, 2)], duration=120.0
     )
-    system = make_sllm(Cluster.build(0, 1), config=SystemConfig(keepalive=0.1))
+    system = ServingSystem(
+        Cluster.build(0, 1), policies="sllm", config=SystemConfig(keepalive=0.1)
+    )
     report = system.run(workload)
     second = next(r for r in report.requests if r.deployment == "m1")
     assert second.state is RequestState.COMPLETED
@@ -47,7 +48,7 @@ def test_retry_is_fifo_fair_within_capacity():
         ],
         duration=200.0,
     )
-    report = make_sllm(Cluster.build(0, 2)).run(workload)
+    report = ServingSystem(Cluster.build(0, 2), policies="sllm").run(workload)
     first = next(r for r in report.requests if r.deployment == "m1")
     assert first.state is RequestState.COMPLETED
 
@@ -73,7 +74,7 @@ def test_slinfer_retry_skips_failed_deployment_but_tries_others():
         duration=300.0,
     )
     config = SlinferConfig(enable_cpu=False)
-    report = Slinfer(Cluster.build(0, 2), config=config).run(workload)
+    report = ServingSystem(Cluster.build(0, 2), policies="slinfer", config=config).run(workload)
     small = next(r for r in report.requests if r.deployment == "small")
     assert small.state is RequestState.COMPLETED
 
@@ -82,7 +83,7 @@ def test_no_request_left_in_queue_state():
     workload = tiny_workload(
         [(f"m{i}", 1.0 + 0.1 * i, 1024, 100) for i in range(10)], duration=240.0
     )
-    for factory in (make_sllm, Slinfer):
-        report = factory(Cluster.build(1, 1)).run(workload)
+    for name in ("sllm", "slinfer"):
+        report = ServingSystem(Cluster.build(1, 1), policies=name).run(workload)
         for request in report.requests:
             assert request.state in (RequestState.COMPLETED, RequestState.DROPPED)

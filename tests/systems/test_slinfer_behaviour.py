@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.core import Slinfer, SlinferConfig
+from repro.core import ServingSystem, SlinferConfig
 from repro.engine.request import RequestState
 from repro.hardware import Cluster
 from repro.models import CODELLAMA_34B, CODESTRAL_22B
+from repro.policies.events import InstanceLoaded
 
 from tests.systems.helpers import steady_stream, tiny_workload
 
 
 def test_prefers_cpu_for_small_models():
     workload = tiny_workload(steady_stream(count=8))
-    report = Slinfer(Cluster.build(2, 2)).run(workload)
+    report = ServingSystem(Cluster.build(2, 2), policies="slinfer").run(workload)
     assert report.decode_tokens_cpu > 0
     assert report.decode_tokens_gpu == 0
     assert report.slo_met_count == 8
@@ -21,9 +22,26 @@ def test_prefers_cpu_for_small_models():
 def test_disable_cpu_routes_to_gpu():
     workload = tiny_workload(steady_stream(count=8))
     config = SlinferConfig(enable_cpu=False)
-    report = Slinfer(Cluster.build(2, 2), config=config).run(workload)
+    report = ServingSystem(Cluster.build(2, 2), policies="slinfer", config=config).run(workload)
     assert report.decode_tokens_cpu == 0
     assert report.decode_tokens_gpu > 0
+
+
+@pytest.mark.parametrize("name", ["slinfer", "pd-slinfer"])
+def test_system_config_reaches_slinfer_placement(name):
+    # The bundles build SLINFER placement without a config; prepare() must
+    # adopt the one handed to ServingSystem, not the placement's default.
+    system = ServingSystem(
+        Cluster.build(2, 2), policies=name, config=SlinferConfig(enable_cpu=False)
+    )
+    loaded = []
+    system.bus.subscribe(InstanceLoaded, loaded.append)
+    system.run(tiny_workload(steady_stream(count=8)))
+    assert system.policies.placement.cfg is system.config
+    assert loaded
+    if name == "slinfer":
+        # With the default config this workload runs on CPUs (see above).
+        assert not any(event.instance.node.is_cpu for event in loaded)
 
 
 def test_long_inputs_fall_back_to_gpu():
@@ -32,7 +50,7 @@ def test_long_inputs_fall_back_to_gpu():
     workload = tiny_workload(
         [("m0", 1.0, 10000, 10)], models={"m0": LLAMA31_8B}
     )
-    report = Slinfer(Cluster.build(2, 2)).run(workload)
+    report = ServingSystem(Cluster.build(2, 2), policies="slinfer").run(workload)
     assert report.decode_tokens_gpu > 0
     assert report.decode_tokens_cpu == 0
 
@@ -45,7 +63,7 @@ def test_multiple_models_share_one_gpu():
         arrivals += steady_stream(f"m{m}", count=4, gap=6.0)
     workload = tiny_workload(arrivals)
     config = SlinferConfig(enable_cpu=False)
-    report = Slinfer(Cluster.build(0, 1), config=config).run(workload)
+    report = ServingSystem(Cluster.build(0, 1), policies="slinfer", config=config).run(workload)
     assert report.slo_met_count == 16
     assert report.dropped_count == 0
 
@@ -56,12 +74,12 @@ def test_sharing_disabled_limits_one_instance_per_node():
         arrivals += [(f"m{m}", 1.0 + 0.1 * m, 512, 60)]
     workload = tiny_workload(arrivals)
     config = SlinferConfig(enable_cpu=False, enable_sharing=False)
-    report = Slinfer(Cluster.build(0, 2), config=config).run(workload)
+    report = ServingSystem(Cluster.build(0, 2), policies="slinfer", config=config).run(workload)
     # Only 2 nodes, one instance each → 2 requests served, 2 dropped.
     assert report.dropped_count == 2
-    full = Slinfer(Cluster.build(0, 2), config=SlinferConfig(enable_cpu=False)).run(
-        tiny_workload(arrivals)
-    )
+    full = ServingSystem(
+        Cluster.build(0, 2), policies="slinfer", config=SlinferConfig(enable_cpu=False)
+    ).run(tiny_workload(arrivals))
     assert full.dropped_count == 0
 
 
@@ -71,7 +89,7 @@ def test_exclusive_fallback_for_34b_tp2():
         models={"big": CODELLAMA_34B},
         tp_degrees={"big": 2},
     )
-    system = Slinfer(Cluster.build(0, 3))
+    system = ServingSystem(Cluster.build(0, 3), policies="slinfer")
     report = system.run(workload)
     assert report.slo_met_count == 1
     # Two GPUs were reserved for the TP-2 instance.
@@ -83,14 +101,14 @@ def test_exclusive_fallback_for_34b_tp2():
 
 def test_22b_fp16_is_exclusive_but_int4_shares():
     from repro.models import Quantization
-
-    system = Slinfer(Cluster.build(0, 2))
-    fp16 = system.deployments  # unused; direct check below
     from repro.workloads.spec import Deployment
 
-    assert system._is_exclusive_deployment(Deployment("d", CODESTRAL_22B))
+    system = ServingSystem(Cluster.build(0, 2), policies="slinfer")
+    system.policies.prepare(system, tiny_workload([]))
+    placement = system.policies.placement
+    assert placement._is_exclusive_deployment(Deployment("d", CODESTRAL_22B))
     int4 = CODESTRAL_22B.quantized(Quantization.INT4)
-    assert not system._is_exclusive_deployment(Deployment("d", int4))
+    assert not placement._is_exclusive_deployment(Deployment("d", int4))
 
 
 def test_overload_drops_but_serves_what_it_validates():
@@ -101,7 +119,7 @@ def test_overload_drops_but_serves_what_it_validates():
         arrivals += [(f"m{m}", 1.0, 2048, 200)] * 2
     workload = tiny_workload(arrivals, duration=240.0)
     config = SlinferConfig(enable_cpu=False)
-    report = Slinfer(Cluster.build(0, 1), config=config).run(workload)
+    report = ServingSystem(Cluster.build(0, 1), policies="slinfer", config=config).run(workload)
     assert report.dropped_count > 0
     completed = [r for r in report.requests if r.state is RequestState.COMPLETED]
     met = sum(1 for r in completed if r.slo_met)
@@ -111,9 +129,9 @@ def test_overload_drops_but_serves_what_it_validates():
 def test_estimator_learns_output_lengths():
     arrivals = steady_stream("m0", count=12, gap=8.0, output_len=300)
     workload = tiny_workload(arrivals, duration=200.0)
-    system = Slinfer(Cluster.build(1, 1))
+    system = ServingSystem(Cluster.build(1, 1), policies="slinfer")
     system.run(workload)
-    assert system.estimator.average("m0") > 150
+    assert system.policies.placement.estimator.average("m0") > 150
 
 
 def test_scaling_ops_recorded():
@@ -123,7 +141,7 @@ def test_scaling_ops_recorded():
         "m0", count=14, gap=1.0, input_len=2000, output_len=250
     )
     workload = tiny_workload(arrivals)
-    system = Slinfer(Cluster.build(1, 1))
+    system = ServingSystem(Cluster.build(1, 1), policies="slinfer")
     report = system.run(workload)
     assert report.scaling_ops > 0
     assert report.scaling_time_fraction < 0.15
@@ -134,7 +152,10 @@ def test_deterministic_given_seed():
     workload = tiny_workload(arrivals)
 
     def run():
-        return Slinfer(Cluster.build(1, 1), config=SlinferConfig(seed=3)).run(workload)
+        system = ServingSystem(
+            Cluster.build(1, 1), policies="slinfer", config=SlinferConfig(seed=3)
+        )
+        return system.run(workload)
 
     a, b = run(), run()
     assert a.slo_met_count == b.slo_met_count
@@ -146,7 +167,7 @@ def test_all_requests_reach_terminal_state():
     for m in range(6):
         arrivals += steady_stream(f"m{m}", count=6, gap=2.0, output_len=50)
     workload = tiny_workload(arrivals)
-    report = Slinfer(Cluster.build(1, 1)).run(workload)
+    report = ServingSystem(Cluster.build(1, 1), policies="slinfer").run(workload)
     for request in report.requests:
         assert request.state in (RequestState.COMPLETED, RequestState.DROPPED)
 
@@ -156,7 +177,7 @@ def test_no_oom_throughout_run():
     for m in range(8):
         arrivals += steady_stream(f"m{m}", count=5, gap=4.0, output_len=80)
     workload = tiny_workload(arrivals)
-    system = Slinfer(Cluster.build(1, 1))
+    system = ServingSystem(Cluster.build(1, 1), policies="slinfer")
     system.run(workload)
-    for orchestrator in system._orchestrators.values():
+    for orchestrator in system.policies.placement._orchestrators.values():
         orchestrator.assert_no_oom()

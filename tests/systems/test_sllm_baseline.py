@@ -1,6 +1,6 @@
 """Behavioural tests for the ServerlessLLM baseline family."""
 
-from repro.baselines import make_sllm, make_sllm_c, make_sllm_cs
+from repro.core import ServingSystem
 from repro.engine.request import RequestState
 from repro.hardware import Cluster
 from repro.models import LLAMA2_13B, LLAMA2_7B
@@ -10,14 +10,14 @@ from tests.systems.helpers import steady_stream, tiny_workload
 
 def test_sllm_ignores_cpu_nodes():
     workload = tiny_workload(steady_stream(count=6))
-    report = make_sllm(Cluster.build(4, 1)).run(workload)
+    report = ServingSystem(Cluster.build(4, 1), policies="sllm").run(workload)
     assert report.avg_nodes_used_cpu == 0.0
     assert report.slo_met_count == 6
 
 
 def test_sllm_c_prefers_cpu():
     workload = tiny_workload(steady_stream(count=6))
-    report = make_sllm_c(Cluster.build(2, 2)).run(workload)
+    report = ServingSystem(Cluster.build(2, 2), policies="sllm+c").run(workload)
     assert report.avg_nodes_used_cpu > 0.0
     assert report.decode_tokens_cpu > 0
     assert report.decode_tokens_gpu == 0  # CPU absorbs this trickle
@@ -29,7 +29,7 @@ def test_sllm_c_falls_back_to_gpu_for_long_inputs():
     from repro.models import LLAMA31_8B
 
     workload = tiny_workload([("m0", 1.0, 10000, 10)], models={"m0": LLAMA31_8B})
-    report = make_sllm_c(Cluster.build(2, 2)).run(workload)
+    report = ServingSystem(Cluster.build(2, 2), policies="sllm+c").run(workload)
     assert report.decode_tokens_gpu > 0
     assert report.decode_tokens_cpu == 0
 
@@ -41,7 +41,7 @@ def test_sllm_queues_and_drops_when_gpus_exhausted():
     for m in range(3):
         arrivals += [(f"m{m}", 1.0, 2048, 300)] * 3
     workload = tiny_workload(arrivals)
-    report = make_sllm(Cluster.build(0, 1)).run(workload)
+    report = ServingSystem(Cluster.build(0, 1), policies="sllm").run(workload)
     assert report.dropped_count > 0
     assert report.slo_met_count >= 1
 
@@ -50,7 +50,7 @@ def test_sllm_scale_out_at_concurrency_limit():
     # GPU limit for 7B is 32: the 33rd concurrent request needs instance #2.
     arrivals = [("m0", 1.0 + 0.001 * i, 256, 400) for i in range(33)]
     workload = tiny_workload(arrivals, duration=300.0)
-    system = make_sllm(Cluster.build(0, 4))
+    system = ServingSystem(Cluster.build(0, 4), policies="sllm")
     system.run(workload)
     assert system.metrics.cold_starts >= 2
 
@@ -60,24 +60,26 @@ def test_static_share_halves_nodes():
     workload = tiny_workload(
         steady_stream("m0", count=4) + steady_stream("m1", count=4)
     )
-    report = make_sllm_cs(Cluster.build(0, 1)).run(workload)
+    report = ServingSystem(Cluster.build(0, 1), policies="sllm+c+s").run(workload)
     assert report.total_requests == 8
     assert report.dropped_count == 0
     assert report.slo_met_count == 8
 
 
 def test_static_share_13b_keeps_full_cpu_node():
-    system = make_sllm_cs(Cluster.build(1, 1))
+    system = ServingSystem(Cluster.build(1, 1), policies="sllm+c+s")
+    system.policies.prepare(system, tiny_workload([]))
+    slot_fraction = system.policies.placement.slot_fraction
     node = system.cluster.cpu_nodes[0]
-    assert system._slot_fraction(node, LLAMA2_13B) == 1.0
-    assert system._slot_fraction(node, LLAMA2_7B) == 0.5
+    assert slot_fraction(node, LLAMA2_13B) == 1.0
+    assert slot_fraction(node, LLAMA2_7B) == 0.5
     gpu = system.cluster.gpu_nodes[0]
-    assert system._slot_fraction(gpu, LLAMA2_13B) == 0.5
+    assert slot_fraction(gpu, LLAMA2_13B) == 0.5
 
 
 def test_keepalive_reclaims_idle_instances():
     workload = tiny_workload([("m0", 1.0, 256, 5)], duration=60.0)
-    system = make_sllm(Cluster.build(0, 1))
+    system = ServingSystem(Cluster.build(0, 1), policies="sllm")
     report = system.run(workload)
     # After completion + 1s keep-alive, the node goes idle; busy time is
     # far below the 60s window.
@@ -87,7 +89,7 @@ def test_keepalive_reclaims_idle_instances():
 
 def test_cold_start_grace_prevents_false_violation():
     workload = tiny_workload([("m0", 1.0, 256, 5)])
-    report = make_sllm(Cluster.build(0, 1)).run(workload)
+    report = ServingSystem(Cluster.build(0, 1), policies="sllm").run(workload)
     request = report.requests[0]
     assert request.cold_started
     assert request.grace > 0
@@ -102,6 +104,6 @@ def test_all_requests_reach_terminal_state():
         "m1", count=20, gap=1.0
     )
     workload = tiny_workload(arrivals)
-    report = make_sllm_cs(Cluster.build(1, 1)).run(workload)
+    report = ServingSystem(Cluster.build(1, 1), policies="sllm+c+s").run(workload)
     for request in report.requests:
         assert request.state in (RequestState.COMPLETED, RequestState.DROPPED)

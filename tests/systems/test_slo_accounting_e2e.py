@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Slinfer, SlinferConfig
+from repro.core import ServingSystem, SlinferConfig
 from repro.engine.request import RequestState
 from repro.hardware import Cluster
 from repro.slo import ttft_slo
@@ -14,7 +14,8 @@ from tests.systems.helpers import steady_stream, tiny_workload
 def report():
     arrivals = steady_stream("m0", count=8, gap=6.0, input_len=1024, output_len=40)
     workload = tiny_workload(arrivals, duration=120.0)
-    return Slinfer(Cluster.build(1, 1), config=SlinferConfig(seed=0)).run(workload)
+    system = ServingSystem(Cluster.build(1, 1), policies="slinfer", config=SlinferConfig(seed=0))
+    return system.run(workload)
 
 
 def test_slo_met_requests_respect_token_pace(report):
