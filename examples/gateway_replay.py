@@ -38,7 +38,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--scale", default="smoke", choices=["full", "quick", "smoke"])
     parser.add_argument("--duration", type=float, default=None)
-    parser.add_argument("--engine", default="reference")
+    parser.add_argument("--engine", default=None, help="default: the process default engine")
     parser.add_argument("--kv-sharing", dest="kv_sharing", default="off")
     parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
     parser.add_argument(
@@ -62,12 +62,13 @@ def start_subprocess(spec: RunSpec, port: int) -> tuple[subprocess.Popen, int]:
         "--cluster", spec.cluster,
         "--seed", str(spec.seed),
         "--scale", spec.scale,
-        "--engine", spec.engine,
         "--kv-sharing", spec.kv_sharing,
         "--port", str(port),
     ]
     if spec.duration is not None:
         command += ["--duration", str(spec.duration)]
+    if spec.engine is not None:
+        command += ["--engine", spec.engine]
     proc = subprocess.Popen(command, stdout=subprocess.PIPE, text=True)
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:

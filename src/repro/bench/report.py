@@ -14,7 +14,8 @@ Schema (version 1)::
       "commit": "<git short hash or 'unknown'>",
       "scale": "smoke",
       "generated_at": "<UTC ISO-8601>",
-      "environment": {"python": ..., "numpy": ..., "platform": ...},
+      "environment": {"python": ..., "numpy": ..., "platform": ...,
+                      "engine": "<default engine backend name>"},
       "config": {"repeats": 3, "warmup": 1, "workers": 1},
       "cases": [
         {"name": ..., "events": ..., "wall_seconds": ...,
@@ -39,6 +40,7 @@ import numpy as np
 
 from repro.bench.config import BenchConfig
 from repro.bench.timers import Measurement
+from repro.sim.engine import resolve_engine
 
 SCHEMA_VERSION = 1
 
@@ -74,6 +76,9 @@ def build_report(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": sys.platform,
+            # Cases that do not pin a backend run this one; reports from
+            # before and after a default flip must be told apart.
+            "engine": resolve_engine(None).name,
         },
         "config": {
             "repeats": config.repeats,

@@ -555,9 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bounded-memory sketches (required for long-horizon runs)",
     )
     sweep.add_argument(
-        "--engine", default="reference", choices=ENGINES.names(),
-        help="engine backend (byte-identical results; vectorized batches "
-        "the decode-iteration hot path)",
+        "--engine", default=None, choices=ENGINES.names(),
+        help="engine backend (byte-identical results; default: REPRO_ENGINE, "
+        "else vectorized, which batches the decode-iteration hot path; "
+        "reference is the scalar parity oracle)",
     )
     sweep.add_argument(
         "--kv-sharing", dest="kv_sharing", default="off", choices=["off", "on"],
@@ -620,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="policy override (repeatable, one spec per kind)",
     )
     serve.add_argument("--metrics", default="exact", choices=["exact", "streaming"])
-    serve.add_argument("--engine", default="reference", choices=ENGINES.names())
+    serve.add_argument("--engine", default=None, choices=ENGINES.names())
     serve.add_argument(
         "--kv-sharing", dest="kv_sharing", default="off", choices=["off", "on"]
     )

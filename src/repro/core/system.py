@@ -122,10 +122,11 @@ class ServingSystem:
         )
         for observer in self.observers:
             observer.attach(self)
-        # Engine backend: owns the run's dispatch loop (reference = the
-        # plain Simulator.run; vectorized = batched decode chains with
-        # byte-identical results).  ``None`` defers to the REPRO_ENGINE
-        # environment variable, then "reference".
+        # Engine backend: owns the run's dispatch loop (vectorized, the
+        # default = batched decode chains with byte-identical results;
+        # reference = the plain Simulator.run, kept as the parity
+        # oracle).  ``None`` defers to the REPRO_ENGINE environment
+        # variable, then "vectorized".
         self.engine = resolve_engine(engine)
         self.engine.bind(self)
         self._note_decode = self.engine.note_decode if self.engine.marks_decode else None
@@ -263,6 +264,23 @@ class ServingSystem:
         report.wall_seconds = self._run_seconds + (_wallclock.perf_counter() - start)
         report.events_processed = self.sim.events_processed
         return report
+
+    def release(self) -> None:
+        """Drop the finished run's heavy state; the system is unusable after.
+
+        The placement policy, the metrics sampler and the engine each
+        point back at the system, so a finished system graph is a
+        reference cycle that only a generation-2 collection would free.
+        Cutting the system's edges to its policies, simulator, perf
+        database, metrics, bus, observers and engine lets refcounting
+        free the bulk of it as soon as the caller drops the system.
+        Events still pending at the horizon are discarded first: they
+        hold the engine's dead decode chains.  Call it once the report
+        is built.
+        """
+        self.sim.clear()
+        del self.policies, self.sim, self.perf, self.metrics, self.bus
+        del self.observers, self.engine, self._note_decode
 
     # ------------------------------------------------------------------
     # Event/observability surface

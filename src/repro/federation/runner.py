@@ -131,7 +131,9 @@ class ShardRunner:
         return (self.arrived, self.completed, self.dropped)
 
     def finish(self) -> dict[str, Any]:
-        return self.system.finish_run().to_dict(include_volatile=True)
+        report = self.system.finish_run().to_dict(include_volatile=True)
+        self.system.release()
+        return report
 
     def run(self) -> dict[str, Any]:
         """Full-lookahead execution: one window to the horizon (static)."""

@@ -641,8 +641,8 @@ class SlinferPlacement(PlacementPolicy):
         Those are the very expressions the handler evaluates (the
         instance has no prefill backlog inside a chain, so
         ``live_kv_bytes`` reduces to the batch sum), and the footprint
-        is non-decreasing in j, making quietness monotone — probed
-        once at ``max_steps``, else binary-searched.
+        is non-decreasing in j, making quietness monotone (the bound is
+        :func:`quiet_decode_steps`' closed form).
         """
         if max_steps <= 0:
             return 0
@@ -673,20 +673,7 @@ class SlinferPlacement(PlacementPolicy):
             ]
         else:
             offsets = [request.context_len + BLOCK_TOKENS - 1 for request in instance.batch]
-
-        def quiet(steps: int) -> bool:
-            return sum((c + steps) // BLOCK_TOKENS for c in offsets) <= budget
-
-        if quiet(max_steps):
-            return max_steps
-        lo, hi = 0, max_steps - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if quiet(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return quiet_decode_steps(offsets, budget, max_steps)
 
     def _evict_longest_headroom(self, instance: Instance) -> None:
         system = self.system
@@ -794,6 +781,28 @@ class SlinferPlacement(PlacementPolicy):
             system.publish(NodeUnloaded(partner.node_id, system.sim.now))
         system.detach(instance)
         system.capacity_changed()
+
+
+def quiet_decode_steps(offsets: list[int], budget: int, max_steps: int) -> int:
+    """Largest q ≤ ``max_steps`` with ``Σ⌊(o_i + q)/BT⌋ ≤ budget``, else 0.
+
+    The closed form of the monotone block-count predicate behind
+    :meth:`SlinferPlacement.decode_chain_quiet_steps` (``o_i`` are the
+    members' ceil-shifted context offsets, BT = ``BLOCK_TOKENS``).
+    Member i's block count steps up at ``q = BT − o_i mod BT`` and every
+    BT steps after, so over the sorted crossings the n-th step-up overall
+    (0-based) lands at ``crossing[n mod B] + BT·⌊n/B⌋``.  With ``slack``
+    spare blocks at ``q = 0`` the predicate first fails at step-up number
+    ``slack``; the iteration before it is the last quiet one.
+    """
+    slack = budget - sum(c // BLOCK_TOKENS for c in offsets)
+    if slack < 0 or max_steps <= 0:
+        return 0
+    if not offsets:
+        return max_steps
+    crossings = sorted(BLOCK_TOKENS - c % BLOCK_TOKENS for c in offsets)
+    rounds, index = divmod(slack, len(crossings))
+    return min(max_steps, crossings[index] + BLOCK_TOKENS * rounds - 1)
 
 
 # The vectorized engine resolves this tag (visible through the bound

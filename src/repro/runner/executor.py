@@ -38,13 +38,15 @@ def build_system(spec: RunSpec, **system_kwargs: Any):
     gateway bridge, so a live run faces exactly the system a batch run
     of the same spec would.  Axis kwargs are only forwarded when
     non-default, so system factories written before an axis existed
-    keep working for every default-valued spec.
+    keep working for every default-valued spec.  Any explicit engine
+    name is forwarded, so a spec pinned to ``reference`` runs it even
+    when ``REPRO_ENGINE`` names another backend.
     """
     if spec.policy_overrides:
         system_kwargs.setdefault("policy_overrides", dict(spec.policy_overrides))
     if spec.metrics != "exact":
         system_kwargs.setdefault("metrics", spec.metrics)
-    if spec.engine != "reference":
+    if spec.engine is not None:
         system_kwargs.setdefault("engine", spec.engine)
     if spec.kv_sharing != "off":
         system_kwargs.setdefault("kv_sharing", spec.kv_sharing)
@@ -91,6 +93,9 @@ def execute_spec(
             )
     system = build_system(spec, **system_kwargs)
     report = system.run(workload)
+    # The system is ours and finished: free its state by refcount now
+    # instead of leaving a cyclic graph for the collector.
+    system.release()
     return RunResult(
         spec=spec,
         fingerprint=spec.fingerprint(),

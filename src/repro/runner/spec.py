@@ -40,7 +40,7 @@ PAYLOAD_OPTIONAL_AXES: dict[str, Any] = {
     "topology": None,
     "policy_overrides": (),
     "metrics": "exact",
-    "engine": "reference",
+    "engine": None,
     "kv_sharing": "off",
     "federation": None,
 }
@@ -101,11 +101,12 @@ class RunSpec:
     # or "streaming" (bounded sketches, long-horizon runs).  The payload
     # shapes differ, so non-default modes fingerprint separately.
     metrics: str = "exact"
-    # Engine backend executing the simulation.  Backends are
-    # byte-identical by contract, so the reference default is omitted
-    # from the fingerprint: an engine choice never invalidates (or
-    # forks) the result cache for the same experiment.
-    engine: str = "reference"
+    # Engine backend executing the simulation; None runs the process
+    # default (REPRO_ENGINE, else vectorized), an explicit name pins
+    # that backend.  Backends are byte-identical by contract, so the
+    # axis is exempt from the fingerprint: an engine choice never
+    # invalidates (or forks) the result cache for the same experiment.
+    engine: str | None = None
     # Prefix-sharing block-map subsystem ("off"/"on").  Unlike the
     # engine axis, sharing *changes results* (prefill work shrinks on
     # cache hits), so "on" is part of the fingerprint; "off" is omitted
@@ -131,7 +132,7 @@ class RunSpec:
             )
         from repro.sim.engine import ENGINES
 
-        if self.engine not in ENGINES.names():
+        if self.engine is not None and self.engine not in ENGINES.names():
             raise ValueError(
                 f"unknown engine {self.engine!r} (known: {', '.join(ENGINES.names())})"
             )
@@ -194,7 +195,7 @@ class RunSpec:
             scenario_params=payload.get("scenario_params"),
             policy_overrides=payload.get("policy_overrides") or (),
             metrics=payload.get("metrics", "exact"),
-            engine=payload.get("engine", "reference"),
+            engine=payload.get("engine"),
             kv_sharing=payload.get("kv_sharing", "off"),
             federation=payload.get("federation"),
         )
@@ -224,7 +225,7 @@ class RunSpec:
             system += "[" + ",".join(f"{k}={v}" for k, v in self.policy_overrides) + "]"
         if self.metrics != "exact":
             system += f" metrics={self.metrics}"
-        if self.engine != "reference":
+        if self.engine is not None:
             system += f" engine={self.engine}"
         if self.kv_sharing != "off":
             system += f" kv={self.kv_sharing}"
@@ -316,7 +317,7 @@ def expand_grid(
     scenario_params: dict[str, Any] | None = None,
     policies: dict[str, Sequence[str]] | None = None,
     metrics: str = "exact",
-    engine: str = "reference",
+    engine: str | None = None,
     kv_sharing: str = "off",
     federations: Iterable[str | None] = (None,),
 ) -> list[RunSpec]:

@@ -14,32 +14,35 @@ loop to an *engine backend*.  The seam contract:
 
 Two backends are registered:
 
+* ``vectorized`` (the default) — batches runs of consecutive decode
+  iterations into array-level work.  Each chained instance keeps its
+  batch's deadline coefficients and precomputed step tables in plain
+  per-instance state; per-iteration timestamps, deadline/violation
+  predicates, token counts and the decode latency law resolve as batched
+  operations per chain flush; jitter comes from the chunked PerfDatabase
+  stream in scalar order.  Results are **byte-identical** to the
+  reference backend: the fast path only ever covers iterations proven
+  (ahead of time) to be observationally silent — no request completes,
+  no watermark handler acts, no non-decode event interleaves on that
+  executor — and every batched computation replicates the scalar float
+  expressions operation-for-operation.  Anything unproven falls back to
+  the reference machinery, from single events up to whole runs (unknown
+  ``IterationFinished`` subscribers, overridden work-selection policies,
+  overhead measurement).
 * ``reference`` — delegates straight to ``Simulator.run``; zero
-  behavioural footprint.
-* ``vectorized`` — batches runs of consecutive decode iterations into
-  array-level work.  Each chained instance keeps its batch's deadline
-  coefficients and precomputed step tables in plain per-instance state;
-  per-iteration timestamps, deadline/violation predicates, token counts
-  and the decode latency law resolve as batched operations per chain
-  flush; jitter comes from the chunked PerfDatabase stream in scalar
-  order.  Results are **byte-identical** to the reference backend: the
-  fast path only ever covers iterations proven (ahead of time) to be
-  observationally silent — no request completes, no watermark handler
-  acts, no non-decode event interleaves on that executor — and every
-  batched computation replicates the scalar float expressions
-  operation-for-operation.  Anything unproven falls back to the
-  reference machinery, from single events up to whole runs (unknown
-  ``IterationFinished`` subscribers, overridden work-selection
-  policies, overhead measurement).
+  behavioural footprint.  It is the parity oracle the vectorized
+  backend is tested against.
 
 Select a backend per run with ``ServingSystem(engine=...)``, the
-``--engine`` CLI flag, or the ``REPRO_ENGINE`` environment variable.
+``--engine`` CLI flag, or the ``REPRO_ENGINE`` environment variable;
+without any of them a run uses ``vectorized``.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from array import array
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -60,6 +63,9 @@ ENGINE_ENV = "REPRO_ENGINE"
 
 #: registered engine backends, by name
 ENGINES: Registry[type] = Registry("engine")
+
+#: backend used when neither the caller nor ``REPRO_ENGINE`` picks one
+DEFAULT_ENGINE = "vectorized"
 
 #: epsilon of Request.record_tokens' SLO-violation comparison
 _DEADLINE_EPS = 1e-9
@@ -117,11 +123,12 @@ def resolve_engine(
     """Resolve an engine selection to a fresh backend instance.
 
     Precedence: explicit argument (instance or registered name), then
-    the ``REPRO_ENGINE`` environment variable, then ``reference``.
+    the ``REPRO_ENGINE`` environment variable, then ``vectorized``.
+    ``REPRO_ENGINE=reference`` selects the scalar parity oracle.
     """
     if isinstance(engine, EngineBackend):
         return engine
-    name = engine or os.environ.get(ENGINE_ENV) or "reference"
+    name = engine or os.environ.get(ENGINE_ENV) or DEFAULT_ENGINE
     return ENGINES.get(name)()
 
 
@@ -149,8 +156,9 @@ class _InstState:
     the precomputed step tables: ``minD[k]`` is the batch's minimum
     next-token deadline after ``k`` grants (the work-selection urgency
     is ``minD[k] - now``) and ``A[k]`` the jitter-free iteration
-    duration at that point, so the per-event fast path is two list
-    lookups instead of per-request arithmetic.  Tables are filled
+    duration at that point, so the per-event fast path is two table
+    lookups instead of per-request arithmetic.  Both are flat
+    ``array('d')`` buffers (8 bytes an entry, no boxed floats), filled
     lazily (``_fill_tables``) from the stored kernel coefficients
     ``Pb``/``Qb``/``mul``/``den`` and the initial context sum ``S0``.
     ``budget`` is the last step index the fast path may schedule
@@ -405,7 +413,7 @@ class VectorizedEngine(EngineBackend):
             self._fill_tables(st, need)
         perf = self.system.perf
         vals = perf.jitter_peek(want)
-        d = np.asarray(st.A[k0 + 1 : k0 + 1 + want]) * np.asarray(vals) * chain.lat
+        d = np.frombuffer(st.A[k0 + 1 : k0 + 1 + want]) * np.asarray(vals) * chain.lat
         path = np.cumsum(np.concatenate(((t2,), d)))
         c = int(np.searchsorted(path, top_t, side="left"))
         if until is not None:
@@ -431,6 +439,7 @@ class VectorizedEngine(EngineBackend):
         handle.chain = None
         self._flush_chain(chain)
         chain.alive = False
+        chain.handle = None
         self._live.remove(chain)
         self._parked[chain.executor] = chain
 
@@ -508,6 +517,12 @@ class VectorizedEngine(EngineBackend):
         runnable = system.runnable_instances(executor)
         if not runnable:
             return None
+        # Cheap screen before any resume or state build: a pending
+        # prefill could win selection mid-chain, and an instance with an
+        # empty batch has nothing to chain.
+        for inst in runnable:
+            if inst.prefill_pending or not inst.batch:
+                return None
         dead = handle.chain
         if dead is not _CANDIDATE:
             chain = self._resume(dead, handle, runnable, instance, batch_size, guards)
@@ -523,11 +538,7 @@ class VectorizedEngine(EngineBackend):
         states: list[_InstState] = []
         pending = None
         for inst in runnable:
-            if inst.prefill_pending:
-                return None  # a prefill could win selection mid-chain
             batch = inst.batch
-            if not batch:
-                return None
             if inst is instance:
                 if len(batch) != batch_size:
                     return None  # membership changed since the kick
@@ -544,6 +555,7 @@ class VectorizedEngine(EngineBackend):
     ) -> Optional[_ExecChain]:
         """Revive a flushed chain whose world did not change.
 
+        The caller has screened out pending prefills and empty batches.
         Valid when the runnable set and every batch's membership are
         identical (same objects, same order) to the dead chain's: the
         requests' deadline coefficients are immutable, and token counts
@@ -561,7 +573,7 @@ class VectorizedEngine(EngineBackend):
             return None
         pending = None
         for st, inst in zip(states, runnable):
-            if st.instance is not inst or inst.prefill_pending:
+            if st.instance is not inst:
                 return None
             batch = inst.batch
             reqs = st.reqs
@@ -651,8 +663,8 @@ class VectorizedEngine(EngineBackend):
                 break
             cap = guard(inst, cap)
         st.budget = cap
-        st.minD = []
-        st.A = []
+        st.minD = array("d")
+        st.A = array("d")
         self._fill_tables(st, min(max(cap, 0), _TABLE_SEED) + 1)
         return st
 
@@ -682,11 +694,11 @@ class VectorizedEngine(EngineBackend):
         if (n - start) * B >= _VECTOR_MIN:
             ks = np.arange(start, n)
             avg = (S0 + ks * B) / B
-            st.A.extend(((Pb + Qb * avg) * mul / den).tolist())
+            st.A.frombytes(((Pb + Qb * avg) * mul / den).tobytes())
             mat = np.asarray(base)[:, None] + np.asarray(tpot)[:, None] * (
                 np.asarray(tok0, dtype=np.int64)[:, None] + ks
             )
-            st.minD.extend(mat.min(axis=0).tolist())
+            st.minD.frombytes(mat.min(axis=0).tobytes())
         else:
             A = st.A
             minD = st.minD
@@ -708,6 +720,10 @@ class VectorizedEngine(EngineBackend):
             self._fix_handle(chain)
             self._flush_chain(chain)
             chain.alive = False
+            # The handle keeps pointing at the dead chain (see
+            # _fix_handle); dropping the reverse edge leaves no cycle,
+            # so refcounting frees the chain once nothing resumes it.
+            chain.handle = None
         self._live.clear()
 
     def _fix_handle(self, chain) -> None:

@@ -160,6 +160,10 @@ class Simulator:
             self.now = until
         return fired
 
+    def clear(self) -> None:
+        """Discard every pending event (the leftovers of a finished run)."""
+        self._heap.clear()
+
     @property
     def events_processed(self) -> int:
         return self._events_processed

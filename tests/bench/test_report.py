@@ -12,6 +12,7 @@ from repro.bench import (
     load_report,
     write_report,
 )
+from repro.sim.engine import ENGINE_ENV
 
 
 def _measurement(name, events=1000, wall=0.5):
@@ -29,13 +30,22 @@ def test_report_schema_and_roundtrip(tmp_path):
     assert report["suite"] == "core"
     assert report["commit"] == "abc1234"
     assert report["scale"] == "smoke"
-    assert {"python", "numpy", "platform"} <= set(report["environment"])
+    assert {"python", "numpy", "platform", "engine"} <= set(report["environment"])
     assert [case["name"] for case in report["cases"]] == ["core-loop", "event-bus-publish"]
     for case in report["cases"]:
         assert {"wall_seconds", "events", "events_per_sec"} <= set(case)
 
     path = write_report(report, tmp_path / "BENCH_core.json")
     assert load_report(path) == json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("env", [None, "reference"])
+def test_environment_records_default_engine(monkeypatch, env):
+    if env is None:
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    else:
+        monkeypatch.setenv(ENGINE_ENV, env)
+    assert _report([_measurement("core-loop")])["environment"]["engine"] == (env or "vectorized")
 
 
 def test_unsupported_schema_version_rejected(tmp_path):

@@ -4,16 +4,21 @@
 iterations the vectorized engine may fast-path before the watermark
 handler stops being a no-op.  Its hot predicate is an integer
 block-count inlining of the byte comparison the handler itself makes;
-this module pins the two forms to each other exactly.
+this module pins the two forms to each other exactly, and the guard's
+closed-form bound (``quiet_decode_steps``) to a binary search over that
+predicate.
 """
 
 from __future__ import annotations
 
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.engine.kvcache import BLOCK_TOKENS, KVCache
 from repro.models import LLAMA2_7B
-from repro.policies.slinfer import SlinferPlacement
+from repro.policies.slinfer import SlinferPlacement, quiet_decode_steps
 
 
 def _byte_form(kv: KVCache, contexts, steps: int, budget_bytes: int) -> bool:
@@ -53,7 +58,7 @@ def test_block_count_predicate_matches_byte_comparison():
 
 
 def test_quietness_is_monotone_in_steps():
-    # decode_chain_quiet_steps binary-searches on this monotonicity.
+    # quiet_decode_steps' closed form rests on this monotonicity.
     kv = KVCache(model=LLAMA2_7B)
     contexts = [100, 250, 777]
     budget = sum(kv.used_bytes(c + 40) for c in contexts)
@@ -64,3 +69,62 @@ def test_quietness_is_monotone_in_steps():
 
 def test_after_iteration_declares_the_guard():
     assert SlinferPlacement._after_iteration._chain_guard == "decode_chain_quiet_steps"
+
+
+def _searched_quiet_steps(offsets, budget: int, max_steps: int) -> int:
+    """The bound by binary search over the monotone block-count predicate."""
+    if max_steps <= 0:
+        return 0
+
+    def quiet(steps: int) -> bool:
+        return sum((c + steps) // BLOCK_TOKENS for c in offsets) <= budget
+
+    if quiet(max_steps):
+        return max_steps
+    lo, hi = 0, max_steps - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if quiet(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@st.composite
+def _offsets(draw):
+    """Batch offsets as the guard builds them, with or without sharing.
+
+    A shared member's growing term is its private tail: the context minus
+    a block-aligned shared prefix (possibly all of it).
+    """
+    offsets = []
+    for context in draw(st.lists(st.integers(0, 4096), max_size=12)):
+        shared = draw(st.integers(0, context // BLOCK_TOKENS)) * BLOCK_TOKENS
+        offsets.append(context - shared + BLOCK_TOKENS - 1)
+    return offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(_offsets(), st.integers(-40, 600), st.integers(-2, 4000))
+@example([], 0, 10)  # empty batch, zero slack: every step is quiet
+@example([], -1, 10)  # empty batch over budget: none is
+@example([15], 0, 0)  # max_steps at zero
+def test_closed_form_matches_binary_search(offsets, slack, max_steps):
+    # ``slack`` spare blocks at step 0; negative means already over budget.
+    budget = sum(c // BLOCK_TOKENS for c in offsets) + slack
+    assert quiet_decode_steps(offsets, budget, max_steps) == _searched_quiet_steps(
+        offsets, budget, max_steps
+    )
+
+
+def test_closed_form_at_max_steps_boundaries():
+    rng = random.Random(5)
+    for _ in range(200):
+        offsets = [rng.randint(BLOCK_TOKENS - 1, 2048) for _ in range(rng.randint(1, 9))]
+        budget = sum(c // BLOCK_TOKENS for c in offsets) + rng.randint(0, 40)
+        free = quiet_decode_steps(offsets, budget, 10**9)
+        for max_steps in (free - 1, free, free + 1):
+            expected = _searched_quiet_steps(offsets, budget, max_steps)
+            assert quiet_decode_steps(offsets, budget, max_steps) == expected
+            assert expected == max(0, min(free, max_steps))

@@ -19,8 +19,14 @@ def test_both_backends_registered():
     assert "vectorized" in names
 
 
-def test_resolve_defaults_to_reference(monkeypatch):
+def test_resolve_defaults_to_vectorized(monkeypatch):
     monkeypatch.delenv(ENGINE_ENV, raising=False)
+    assert type(resolve_engine(None)) is ENGINES.get("vectorized")
+    assert resolve_engine(None).name == "vectorized"
+
+
+def test_environment_selects_reference_oracle(monkeypatch):
+    monkeypatch.setenv(ENGINE_ENV, "reference")
     assert type(resolve_engine(None)) is ENGINES.get("reference")
 
 
