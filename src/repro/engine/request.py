@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-_EPS = 1e-9
+#: slack of the per-token SLO-violation comparison (deadline + EPS)
+EPS = 1e-9
 
 
 class RequestState(Enum):
@@ -118,7 +119,7 @@ class Request:
         """
         if count <= 0:
             raise ValueError("token count must be positive")
-        if now > self.next_token_deadline + _EPS and self.violation_at is None:
+        if now > self.next_token_deadline + EPS and self.violation_at is None:
             self.violation_at = now
         if self.first_token_at is None:
             self.first_token_at = now

@@ -89,8 +89,9 @@ class ShardRunner:
     ``finish_run``) and counts arrivals/completions/drops off the event
     bus so the controller can read in-flight load at epoch barriers
     without touching simulator internals.  Only terminal request events
-    are subscribed — never ``IterationFinished``, which would disable
-    the vectorized engine's decode chaining.
+    are subscribed: a plain ``IterationFinished`` handler (one that is
+    not a ``DecodeChainHandler``) would turn off the vectorized engine's
+    decode chaining.
     """
 
     def __init__(self, shard_id: int, spec: RunSpec, workload) -> None:

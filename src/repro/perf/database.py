@@ -147,34 +147,6 @@ class PerfDatabase:
         self._jitter_pos = pos + 1
         return buf[pos]
 
-    def jitter_block(self, count: int) -> list[float]:
-        """``count`` jitter draws, stream-identical to scalar calls.
-
-        Returns exactly the values ``count`` successive :meth:`_jitter`
-        calls would produce (the chunked buffer is consumed in order and
-        refilled with the same ``Generator.normal(size=_JITTER_CHUNK)``
-        draws), so batched consumers stay byte-compatible with scalar
-        ones.  Pinned by ``tests/perf/test_decode_kernel.py``.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        if self.jitter_sigma <= 0:
-            return [1.0] * count
-        out: list[float] = []
-        while len(out) < count:
-            pos = self._jitter_pos
-            buf = self._jitter_buf
-            if pos >= len(buf):
-                buf = np.exp(
-                    self._rng.normal(0.0, self.jitter_sigma, size=_JITTER_CHUNK)
-                ).tolist()
-                self._jitter_buf = buf
-                pos = 0
-            take = min(count - len(out), len(buf) - pos)
-            out.extend(buf[pos : pos + take])
-            self._jitter_pos = pos + take
-        return out
-
     def jitter_peek(self, count: int) -> list[float]:
         """The next ``count`` jitter values *without* consuming them.
 

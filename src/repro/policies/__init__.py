@@ -17,6 +17,7 @@ from repro.policies.base import (
     WorkSelectionPolicy,
 )
 from repro.policies.events import (
+    DecodeChainHandler,
     Event,
     EventBus,
     InstanceLoaded,
@@ -56,6 +57,7 @@ __all__ = [
     "AdmissionPolicy",
     "BUNDLES",
     "CpuAssistWork",
+    "DecodeChainHandler",
     "DefaultWorkSelection",
     "EagerReclaim",
     "Event",

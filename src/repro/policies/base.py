@@ -111,14 +111,6 @@ class WorkSelectionPolicy(Policy):
 
     kind = "work"
 
-    #: Declares that ``latency_factor`` is a pure function of
-    #: ``(executor, kind)`` for the duration of a run — it reads no
-    #: per-iteration state.  The vectorized engine backend relies on
-    #: this to evaluate the factor once per decode chain instead of per
-    #: iteration; subclasses whose factor varies mid-run must set this
-    #: False (they then always run through the reference loop).
-    latency_factor_invariant = True
-
     def select(self, system: "ServingSystem", executor: "Executor") -> Optional[WorkItem]:
         return select_next_work(
             executor, system.sim.now, instances=system.runnable_instances(executor)
@@ -127,6 +119,11 @@ class WorkSelectionPolicy(Policy):
     def latency_factor(
         self, system: "ServingSystem", executor: "Executor", kind: WorkKind
     ) -> float:
+        """Multiplier on the iteration latency law for ``kind`` on ``executor``.
+
+        Must be a pure function of ``(executor, kind)`` for the whole run:
+        the vectorized engine evaluates it once per decode chain.
+        """
         return 1.0
 
 

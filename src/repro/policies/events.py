@@ -149,6 +149,31 @@ class IterationFinished(Event):
         self.time = time
 
 
+class DecodeChainHandler:
+    """An :class:`IterationFinished` handler that decode chains may batch.
+
+    The vectorized engine skips publishing runs of decode iterations only
+    while *every* ``IterationFinished`` handler is one of these; any other
+    subscriber makes it publish each iteration.  Subclasses implement
+    ``__call__`` and override what their decode-iteration effect needs:
+    :meth:`quiet_steps` bounds how many of ``instance``'s next decode
+    iterations may go unpublished, and :meth:`fold` applies ``steps`` of
+    them (each with ``decode_tokens = batch_size``) in one go, before any
+    other event fires.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, event: IterationFinished) -> None:
+        raise NotImplementedError
+
+    def quiet_steps(self, instance: "Instance", max_steps: int) -> int:
+        return max_steps
+
+    def fold(self, instance: "Instance", batch_size: int, steps: int) -> None:
+        pass
+
+
 class MemoryOpIssued(Event):
     """The memory subsystem executed an operation (load/unload/scale)."""
 
@@ -221,6 +246,16 @@ class EventBus:
             chain = self._build_chain(cls)
         for handler in chain:
             handler(event)
+
+    def handlers(self, event_type: Type[E]) -> tuple[Callable[[Event], None], ...]:
+        """What ``publish`` runs for an ``event_type`` event, in delivery order.
+
+        Subscribe/detach replace the tuple, so identity marks a change.
+        """
+        try:
+            return self._chains[event_type]
+        except KeyError:
+            return self._build_chain(event_type)
 
     def _build_chain(self, cls: type) -> tuple[Callable[[Event], None], ...]:
         subscribers = self._subscribers

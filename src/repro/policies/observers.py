@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 from repro.engine.instance import InstanceState
 from repro.memory.operations import OpKind
 from repro.policies.events import (
+    DecodeChainHandler,
     InstanceLoaded,
     InstanceUnloaded,
     IterationFinished,
@@ -30,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import ServingSystem
     from repro.engine.instance import Instance
     from repro.hardware.node import Node
+    from repro.metrics.collector import MetricsCollector
     from repro.workloads.spec import Workload
 
 
@@ -72,25 +74,10 @@ class MetricsObserver(Observer):
         bus.subscribe(NodeLoaded, lambda e: metrics.node_loaded(e.node_id, e.kind, e.time))
         bus.subscribe(NodeUnloaded, lambda e: metrics.node_unloaded(e.node_id, e.time))
 
-        # Per-iteration and per-overhead handlers fire once per simulated
-        # iteration — closures over ``metrics``, no extra dispatch layer.
-        def on_iteration(event: IterationFinished, metrics=metrics) -> None:
-            if event.decode_tokens:
-                metrics.add_decode_tokens(event.instance.node.kind, event.decode_tokens)
-            if event.batch_size:
-                metrics.sample_batch_size(event.batch_size, event.instance.node.kind)
-
         def on_overhead(event: OverheadMeasured, metrics=metrics) -> None:
             metrics.add_overhead(event.name, event.seconds)
 
-        # Engine-backend contract: the tag tells the vectorized engine
-        # this handler is a pure fold into the collector, so a chain of
-        # n decode iterations may apply it as one batched fold (token
-        # counter += n·B, batch histogram bucket += n) instead of n
-        # calls.  Handlers without a recognised tag disable chaining.
-        on_iteration._iteration_metrics_fold = metrics
-
-        bus.subscribe(IterationFinished, on_iteration)
+        bus.subscribe(IterationFinished, _IterationMetrics(metrics))
         bus.subscribe(MemoryOpIssued, lambda e: self._memory_op(system, e))
         bus.subscribe(OverheadMeasured, on_overhead)
 
@@ -104,6 +91,26 @@ class MetricsObserver(Observer):
     def _memory_op(system: "ServingSystem", event: MemoryOpIssued) -> None:
         if event.op.kind in (OpKind.SCALE_UP, OpKind.SCALE_DOWN):
             system.metrics.add_scaling_op(event.duration)
+
+
+class _IterationMetrics(DecodeChainHandler):
+    """Decode-token and batch-size accounting, one fold per decode chain."""
+
+    __slots__ = ("metrics",)
+
+    def __init__(self, metrics: "MetricsCollector") -> None:
+        self.metrics = metrics
+
+    def __call__(self, event: IterationFinished) -> None:
+        if event.decode_tokens:
+            self.metrics.add_decode_tokens(event.instance.node.kind, event.decode_tokens)
+        if event.batch_size:
+            self.metrics.sample_batch_size(event.batch_size, event.instance.node.kind)
+
+    def fold(self, instance: "Instance", batch_size: int, steps: int) -> None:
+        kind = instance.node.kind
+        self.metrics.add_decode_tokens(kind, batch_size * steps)
+        self.metrics.sample_batch_size(batch_size, kind, count=steps)
 
 
 class MemoryUsageSampler(Observer):

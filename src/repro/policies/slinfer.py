@@ -47,6 +47,7 @@ from repro.memory.watermark import WatermarkPolicy
 from repro.perf.laws import kv_scaling_seconds
 from repro.policies.base import PlacementPolicy
 from repro.policies.events import (
+    DecodeChainHandler,
     IterationFinished,
     MemoryOpIssued,
     NodeLoaded,
@@ -108,7 +109,7 @@ class SlinferPlacement(PlacementPolicy):
                 on_op_metric=self._op_metric,
                 topology=system.cluster.topology,
             )
-        system.bus.subscribe(IterationFinished, self._after_iteration)
+        system.bus.subscribe(IterationFinished, _WatermarkCheck(self))
         system.bus.subscribe(RequestCompleted, self._on_request_complete)
 
     def _orch(self, instance_or_node) -> MemoryOrchestrator:
@@ -626,10 +627,6 @@ class SlinferPlacement(PlacementPolicy):
             return
         self._evict_longest_headroom(instance)
 
-    # Engine-backend contract: the vectorized engine may only fast-path
-    # decode iterations for which this handler provably no-ops; the tag
-    # names the method that bounds how many consecutive iterations are
-    # quiet.  (Assigned after the class body, on the function object.)
     def decode_chain_quiet_steps(self, instance: Instance, max_steps: int) -> int:
         """Largest q ≤ ``max_steps`` with :meth:`_after_iteration` a
         no-op for the instance's next q consecutive decode iterations.
@@ -783,6 +780,21 @@ class SlinferPlacement(PlacementPolicy):
         system.capacity_changed()
 
 
+class _WatermarkCheck(DecodeChainHandler):
+    """The §VII-D watermark check, quiet for a bounded run of decode steps."""
+
+    __slots__ = ("placement",)
+
+    def __init__(self, placement: SlinferPlacement) -> None:
+        self.placement = placement
+
+    def __call__(self, event: IterationFinished) -> None:
+        self.placement._after_iteration(event)
+
+    def quiet_steps(self, instance: Instance, max_steps: int) -> int:
+        return self.placement.decode_chain_quiet_steps(instance, max_steps)
+
+
 def quiet_decode_steps(offsets: list[int], budget: int, max_steps: int) -> int:
     """Largest q ≤ ``max_steps`` with ``Σ⌊(o_i + q)/BT⌋ ≤ budget``, else 0.
 
@@ -804,8 +816,3 @@ def quiet_decode_steps(offsets: list[int], budget: int, max_steps: int) -> int:
     rounds, index = divmod(slack, len(crossings))
     return min(max_steps, crossings[index] + BLOCK_TOKENS * rounds - 1)
 
-
-# The vectorized engine resolves this tag (visible through the bound
-# method it finds subscribed to IterationFinished) to the quiet-steps
-# bound above — see repro.sim.engine.
-SlinferPlacement._after_iteration._chain_guard = "decode_chain_quiet_steps"

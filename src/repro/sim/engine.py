@@ -23,12 +23,14 @@ Two backends are registered:
   stream in scalar order.  Results are **byte-identical** to the
   reference backend: the fast path only ever covers iterations proven
   (ahead of time) to be observationally silent — no request completes,
-  no watermark handler acts, no non-decode event interleaves on that
-  executor — and every batched computation replicates the scalar float
+  no non-decode event interleaves on that executor, every
+  ``IterationFinished`` handler is a
+  :class:`~repro.policies.events.DecodeChainHandler` whose
+  ``quiet_steps`` admits the run (its ``fold`` replays it at the flush)
+  — and every batched computation replicates the scalar float
   expressions operation-for-operation.  Anything unproven falls back to
-  the reference machinery, from single events up to whole runs (unknown
-  ``IterationFinished`` subscribers, overridden work-selection policies,
-  overhead measurement).
+  the reference machinery, from single events up to whole runs (another
+  ``IterationFinished`` subscriber, an overridden ``select``).
 * ``reference`` — delegates straight to ``Simulator.run``; zero
   behavioural footprint.  It is the parity oracle the vectorized
   backend is tested against.
@@ -48,14 +50,13 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from repro.compute.scheduler import WorkItem, WorkKind
+from repro.engine.request import EPS
 from repro.policies.base import WorkSelectionPolicy
-from repro.policies.events import IterationFinished
+from repro.policies.events import DecodeChainHandler, IterationFinished
 from repro.registries import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import ServingSystem
-    from repro.engine.executor import Executor
-    from repro.engine.instance import Instance
     from repro.sim.simulator import EventHandle
 
 #: environment variable selecting the default backend for a process
@@ -66,9 +67,6 @@ ENGINES: Registry[type] = Registry("engine")
 
 #: backend used when neither the caller nor ``REPRO_ENGINE`` picks one
 DEFAULT_ENGINE = "vectorized"
-
-#: epsilon of Request.record_tokens' SLO-violation comparison
-_DEADLINE_EPS = 1e-9
 
 #: step-table entries materialized up front per chain state; tables
 #: extend by doubling (up to the budget) as a chain actually runs, so
@@ -162,7 +160,7 @@ class _InstState:
     lazily (``_fill_tables``) from the stored kernel coefficients
     ``Pb``/``Qb``/``mul``/``den`` and the initial context sum ``S0``.
     ``budget`` is the last step index the fast path may schedule
-    (bounded by earliest completion and the quiet guards).
+    (bounded by earliest completion and the handlers' quiet steps).
     """
 
     __slots__ = (
@@ -183,14 +181,13 @@ class _InstState:
         "mul",
         "den",
         "S0",
-        "kind",
     )
 
 
 class _ExecChain:
     """A live run of chainable decode iterations on one executor."""
 
-    __slots__ = ("executor", "states", "pending", "handle", "lat", "alive")
+    __slots__ = ("executor", "states", "pending", "handle", "lat", "alive", "handlers")
 
 
 @ENGINES.register("vectorized")
@@ -203,10 +200,10 @@ class VectorizedEngine(EngineBackend):
     def __init__(self) -> None:
         self._live: list[_ExecChain] = []
         self._classified_for: Optional[tuple] = None
-        self._classified: Optional[tuple[list, list]] = None
+        self._classified: Optional[tuple] = None
         # Last detached chain per executor: a budget-exhausted chain
         # whose world survives the scalar iteration (the common case
-        # when the budget was a quiet-guard window, not a completion)
+        # when the budget was a quiet-steps window, not a completion)
         # is resumed from here instead of rebuilt.
         self._parked: dict = {}
 
@@ -448,53 +445,25 @@ class VectorizedEngine(EngineBackend):
     # ------------------------------------------------------------------
     def _static_ok(self, system: "ServingSystem") -> bool:
         """Run-level preconditions for chaining (else: full fallback)."""
-        work = type(system.policies.work)
-        if work.select is not WorkSelectionPolicy.select:
-            return False
-        if not getattr(work, "latency_factor_invariant", False):
-            return False
         # config.measure_overheads is deliberately NOT a disqualifier:
         # chained kicks skip the wall-clock-timed _select_work, which
         # only shortens the (volatile, nondeterministic) token_schedule
         # overhead series — simulation state and canonical reports are
         # untouched.
-        return True
+        return type(system.policies.work).select is WorkSelectionPolicy.select
 
-    def _classify(self):
-        """Split the IterationFinished handler chain into known roles.
+    def _classify(self) -> Optional[tuple[DecodeChainHandler, ...]]:
+        """The IterationFinished handlers, or ``None`` if any cannot chain.
 
-        Returns ``(fold_collectors, guard_fns)`` when every subscribed
-        handler is either a tagged metrics fold or a tagged watermark
-        guard; ``None`` (→ no chaining) on any unknown handler.  Cached
-        on the bus's immutable chain tuple, which subscribe/detach
-        replace.
+        Chaining needs every handler to be a :class:`DecodeChainHandler`.
+        Cached on the bus's handler tuple, which subscribe/detach replace.
         """
-        bus = self.system.bus
-        try:
-            handlers = bus._chains[IterationFinished]
-        except KeyError:
-            handlers = bus._build_chain(IterationFinished)
-        if handlers is self._classified_for:
-            return self._classified
-        folds: list = []
-        guards: list = []
-        result: Optional[tuple[list, list]] = (folds, guards)
-        for handler in handlers:
-            collector = getattr(handler, "_iteration_metrics_fold", None)
-            if collector is not None:
-                folds.append(collector)
-                continue
-            guard_name = getattr(handler, "_chain_guard", None)
-            owner = getattr(handler, "__self__", None)
-            guard = getattr(owner, guard_name, None) if guard_name and owner else None
-            if guard is not None:
-                guards.append(guard)
-                continue
-            result = None
-            break
-        self._classified_for = handlers
-        self._classified = result
-        return result
+        handlers = self.system.bus.handlers(IterationFinished)
+        if handlers is not self._classified_for:
+            self._classified_for = handlers
+            chainable = all(isinstance(h, DecodeChainHandler) for h in handlers)
+            self._classified = handlers if chainable else None
+        return self._classified
 
     def _try_chain(self, handle) -> Optional[_ExecChain]:
         """Validate and build a chain at a decode-finish pop, or None.
@@ -507,10 +476,9 @@ class VectorizedEngine(EngineBackend):
         precomputed tables are revived with fresh budgets instead of
         being rebuilt.
         """
-        classified = self._classify()
-        if classified is None:
+        handlers = self._classify()
+        if handlers is None:
             return None
-        guards = classified[1]
         system = self.system
         executor, item, batch_size = handle.args
         instance = item.instance
@@ -525,13 +493,13 @@ class VectorizedEngine(EngineBackend):
                 return None
         dead = handle.chain
         if dead is not _CANDIDATE:
-            chain = self._resume(dead, handle, runnable, instance, batch_size, guards)
+            chain = self._resume(dead, handle, runnable, instance, batch_size, handlers)
             if chain is not None:
                 return chain
         else:
             parked = self._parked.get(executor)
             if parked is not None:
-                chain = self._resume(parked, handle, runnable, instance, batch_size, guards)
+                chain = self._resume(parked, handle, runnable, instance, batch_size, handlers)
                 if chain is not None:
                     return chain
         perf = system.perf
@@ -542,16 +510,16 @@ class VectorizedEngine(EngineBackend):
             if inst is instance:
                 if len(batch) != batch_size:
                     return None  # membership changed since the kick
-                pending = st = self._build_state(inst, batch, perf, guards)
+                pending = st = self._build_state(inst, batch, perf, handlers)
             else:
-                st = self._build_state(inst, batch, perf, guards)
+                st = self._build_state(inst, batch, perf, handlers)
             states.append(st)
         if pending is None or pending.budget < 1:
             return None
-        return self._arm(states, pending, executor, handle)
+        return self._arm(states, pending, executor, handle, handlers)
 
     def _resume(
-        self, dead, handle, runnable, instance, batch_size, guards
+        self, dead, handle, runnable, instance, batch_size, handlers
     ) -> Optional[_ExecChain]:
         """Revive a flushed chain whose world did not change.
 
@@ -566,7 +534,7 @@ class VectorizedEngine(EngineBackend):
         that uniform delta and the ``minD`` / ``A`` tables (functions of
         steps-since-build) remain exact.  Budgets are re-derived — the
         interrupting event may have changed completions-ahead or the
-        quiet-guard window.
+        handlers' quiet steps.
         """
         states = dead.states
         if len(states) != len(runnable):
@@ -610,18 +578,19 @@ class VectorizedEngine(EngineBackend):
                     # only back-fills the pending state).
                     self._fill_tables(st, st.k + 1)
             cap = min(r.output_len - r.tokens_out for r in st.reqs) - 1
-            for guard in guards:
+            for handler in handlers:
                 if cap <= 0:
                     break
-                cap = guard(st.instance, cap)
+                cap = handler.quiet_steps(st.instance, cap)
             st.budget = st.k + cap
         if pending.budget <= pending.k:
             return None
-        return self._arm(states, pending, dead.executor, handle)
+        return self._arm(states, pending, dead.executor, handle, handlers)
 
-    def _arm(self, states, pending, executor, handle) -> _ExecChain:
+    def _arm(self, states, pending, executor, handle, handlers) -> _ExecChain:
         chain = _ExecChain()
         chain.executor = executor
+        chain.handlers = handlers
         chain.states = states
         chain.pending = pending
         chain.handle = handle
@@ -634,7 +603,7 @@ class VectorizedEngine(EngineBackend):
         self._parked.pop(executor, None)
         return chain
 
-    def _build_state(self, inst, batch, perf, guards) -> _InstState:
+    def _build_state(self, inst, batch, perf, handlers) -> _InstState:
         st = _InstState()
         st.instance = inst
         st.reqs = reqs = list(batch)
@@ -647,7 +616,6 @@ class VectorizedEngine(EngineBackend):
         st.k = 0
         st.done = 0
         st.ts = []
-        st.kind = inst.node.kind
         kernel = perf.decode_kernel(inst.node.spec, inst.model, inst.fraction, inst.tp_degree)
         st.Pb = kernel.const_ms + kernel.per_seq_ms * B
         st.Qb = kernel.per_token_ms * B
@@ -655,13 +623,13 @@ class VectorizedEngine(EngineBackend):
         st.den = kernel.denom
         st.S0 = sum(r.context_len for r in reqs)
         # Token budget: stop one short of the earliest completion (the
-        # completing iteration runs scalar), clipped by every quiet
-        # guard (e.g. the watermark check staying a no-op).
+        # completing iteration runs scalar), clipped by every handler's
+        # quiet steps (e.g. the watermark check staying a no-op).
         cap = min(r.output_len - r.tokens_out for r in reqs) - 1
-        for guard in guards:
+        for handler in handlers:
             if cap <= 0:
                 break
-            cap = guard(inst, cap)
+            cap = handler.quiet_steps(inst, cap)
         st.budget = cap
         st.minD = array("d")
         st.A = array("d")
@@ -742,12 +710,11 @@ class VectorizedEngine(EngineBackend):
         )
 
     def _flush_chain(self, chain) -> None:
-        executor = chain.executor
         for st in chain.states:
             if st.k > st.done:
-                self._flush_state(st, executor)
+                self._flush_state(st, chain.executor, chain.handlers)
 
-    def _flush_state(self, st: _InstState, executor) -> None:
+    def _flush_state(self, st: _InstState, executor, handlers) -> None:
         m = st.k - st.done
         done = st.done
         ts = st.ts
@@ -764,7 +731,7 @@ class VectorizedEngine(EngineBackend):
             tpot = np.array(st.tpot)
             tok0 = np.array(st.tok0, dtype=np.int64) + done
             deadlines = base[:, None] + tpot[:, None] * (tok0[:, None] + np.arange(m))
-            violated = np.asarray(ts)[None, :] > deadlines + _DEADLINE_EPS
+            violated = np.asarray(ts)[None, :] > deadlines + EPS
             has_violation = violated.any(axis=1)
             first_violation = violated.argmax(axis=1)
             for i, request in enumerate(st.reqs):
@@ -780,7 +747,7 @@ class VectorizedEngine(EngineBackend):
                     tpot = st.tpot[i]
                     tok = st.tok0[i] + done
                     for j in range(m):
-                        if ts[j] > base + tpot * (tok + j) + _DEADLINE_EPS:
+                        if ts[j] > base + tpot * (tok + j) + EPS:
                             request.violation_at = ts[j]
                             break
                 if request.first_token_at is None:
@@ -789,12 +756,7 @@ class VectorizedEngine(EngineBackend):
         st.instance.iterations += m
         st.instance.decode_tokens += st.B * m
         executor.iterations += m
-        # IterationFinished folds, batched: each of the m events carried
-        # decode_tokens = batch_size = B (both truthy, so the scalar
-        # fold's guards always took the sampling branch).
-        tokens = st.B * m
-        for collector in self._classified[0]:
-            collector.add_decode_tokens(st.kind, tokens)
-            collector.sample_batch_size(st.B, st.kind, count=m)
+        for handler in handlers:
+            handler.fold(st.instance, st.B, m)
         st.done = st.k
         st.ts = []

@@ -1,12 +1,11 @@
-"""The SLINFER decode-chain quiet guard's inlined KV predicate.
+"""The SLINFER watermark check's quiet-steps bound and its inlined KV predicate.
 
 ``SlinferPlacement.decode_chain_quiet_steps`` bounds how many decode
 iterations the vectorized engine may fast-path before the watermark
 handler stops being a no-op.  Its hot predicate is an integer
 block-count inlining of the byte comparison the handler itself makes;
-this module pins the two forms to each other exactly, and the guard's
-closed-form bound (``quiet_decode_steps``) to a binary search over that
-predicate.
+this module pins the two forms to each other exactly, and the closed
+form (``quiet_decode_steps``) to a binary search over that predicate.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.engine.kvcache import BLOCK_TOKENS, KVCache
 from repro.models import LLAMA2_7B
-from repro.policies.slinfer import SlinferPlacement, quiet_decode_steps
+from repro.policies.slinfer import quiet_decode_steps
 
 
 def _byte_form(kv: KVCache, contexts, steps: int, budget_bytes: int) -> bool:
@@ -65,10 +64,6 @@ def test_quietness_is_monotone_in_steps():
     results = [_block_form(contexts, s, budget, kv.block_bytes) for s in range(0, 200)]
     assert results[0] is True
     assert results == sorted(results, reverse=True)
-
-
-def test_after_iteration_declares_the_guard():
-    assert SlinferPlacement._after_iteration._chain_guard == "decode_chain_quiet_steps"
 
 
 def _searched_quiet_steps(offsets, budget: int, max_steps: int) -> int:
