@@ -24,8 +24,7 @@ def test_fig25_gpu_efficiency(run_once):
     # Batching: the paper reports +74% average batch vs sllm.  In this
     # substrate sllm's heavy queue-dropping concentrates its surviving
     # burst traffic into large batches, so we assert only that SLINFER's
-    # batching stays comparable while it serves far more requests — see
-    # EXPERIMENTS.md for the discussion of this deviation.
+    # batching stays comparable while it serves far more requests.
     assert slinfer.mean_batch > 0.6 * sllm.mean_batch
     assert slinfer.report.slo_met_count > sllm.report.slo_met_count
     # sllm+c+s suffers lower peak batch sizes from static partitioning.

@@ -13,14 +13,25 @@ and rejects the placement if any of the three cases occurs:
 
 The virtual requests decode "forever" within the horizon (their true output
 lengths are unknown), which makes the check conservative.
+
+Each candidate instance is captured once, straight from the live instance,
+by :meth:`ShadowInstance.snapshot` (the new request is queued with
+:meth:`ShadowInstance.admit`); ``shadow_validate`` then advances those
+snapshots in place, so a snapshot serves exactly one validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
+from repro.engine.instance import InstanceState
 from repro.perf.profiler import QuantifiedPerf
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.instance import Instance
+    from repro.engine.request import Request
 
 DEFAULT_OVERESTIMATE = 1.10
 DEFAULT_MAX_ITERATIONS = 400
@@ -37,120 +48,100 @@ class ShadowVerdict(Enum):
 
 @dataclass(slots=True)
 class ShadowRequest:
-    """Virtual request state inside the shadow simulation."""
+    """A pending prefill inside the shadow simulation."""
 
     deadline_base: float  # arrival + TTFT_SLO + grace
     tpot_slo: float
     tokens_out: int
     context_len: int
-    prefill_len: int = 0  # >0 while awaiting (re-)prefill
+    prefill_len: int = 0  # tokens to (re-)prefill
     is_new: bool = False
     # Mid-stream requests being migrated (evictions, preempted requests,
     # PD hand-offs) are placed best-effort: their own lateness does not
     # veto a placement — only harm to other requests does.
     soft: bool = False
 
-    def headroom(self, now: float) -> float:
-        return self.deadline_base + self.tpot_slo * self.tokens_out - now
 
-
-@dataclass(slots=True)
 class ShadowInstance:
-    """Virtual instance state: pending prefills plus the decode batch."""
+    """One instance's virtual state, advanced in place by ``shadow_validate``.
 
-    perf: QuantifiedPerf
-    ready_at: float = 0.0  # cold-start completion for LOADING instances
-    prefill_queue: list[ShadowRequest] = field(default_factory=list)
-    batch: list[ShadowRequest] = field(default_factory=list)
-    settle_rounds: int = 0
-
-    def has_work(self) -> bool:
-        return bool(self.prefill_queue or self.batch)
-
-    def min_headroom(self, now: float) -> float:
-        requests = self.prefill_queue + self.batch
-        return min(r.headroom(now) for r in requests) if requests else float("inf")
-
-    def avg_context(self) -> float:
-        if not self.batch:
-            return 0.0
-        return sum(r.context_len for r in self.batch) / len(self.batch)
-
-    def decode_estimate(self, overestimate: float) -> float:
-        if not self.batch:
-            return 0.0
-        return self.perf.tpot_seconds(len(self.batch), self.avg_context()) * overestimate
-
-
-def _select(instances: list[ShadowInstance], now: float) -> tuple[ShadowInstance, bool] | None:
-    """Mirror of the real min-headroom work selection."""
-    best: tuple[float, ShadowInstance, bool] | None = None
-    for instance in instances:
-        if instance.ready_at > now or not instance.has_work():
-            continue
-        if instance.prefill_queue:
-            urgency = instance.prefill_queue[0].headroom(now)
-            if best is None or urgency < best[0]:
-                best = (urgency, instance, True)
-        if instance.batch:
-            urgency = min(r.headroom(now) for r in instance.batch)
-            if best is None or urgency < best[0]:
-                best = (urgency, instance, False)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-class _FlatInstance:
-    """One instance's shadow state, flattened for the validation loop.
-
-    ``ShadowInstance``'s methods (``headroom`` / ``min_headroom`` /
-    ``decode_estimate`` / ``_select``) are the readable specification;
-    this mirror keeps the batch as parallel scalar lists so the hot loop
-    touches no dataclass attributes, and caches the two quantities the
-    loop re-derives constantly — the batch's minimum deadline (only the
-    stepped instance's changes per round) and its decode estimate.  All
-    cached values are produced by the *same float expressions* as the
-    specification methods, so every comparison the loop makes is
-    bit-identical to the naive evaluation.
+    Pending prefills are a list read through an index cursor (``head``);
+    the decode batch is kept as parallel scalar lists (deadline bases,
+    TPOT SLOs, token counts, soft flags) so the hot loop touches no
+    per-request objects.  Two quantities the loop re-derives constantly
+    are cached: the batch's minimum deadline (only the stepped instance's
+    changes per round) and its decode estimate.
     """
 
     __slots__ = (
-        "perf", "ready_at", "queue", "head",
-        "base", "slo", "tok", "soft", "new",
+        "perf", "ready_at", "prefill_queue", "head",
+        "base", "slo", "tok", "soft",
         "B", "ctx_sum", "min_deadline", "estimate", "settle",
     )
 
-    def __init__(self, inst: ShadowInstance) -> None:
-        self.perf = inst.perf
-        self.ready_at = inst.ready_at
-        # Pending prefills as an index cursor (no list pops).
-        self.queue = list(inst.prefill_queue)
+    def __init__(self, perf: QuantifiedPerf, ready_at: float = 0.0) -> None:
+        self.perf = perf
+        self.ready_at = ready_at  # cold-start completion for LOADING instances
+        self.prefill_queue: list[ShadowRequest] = []
         self.head = 0
-        self.base = [r.deadline_base for r in inst.batch]
-        self.slo = [r.tpot_slo for r in inst.batch]
-        self.tok = [r.tokens_out for r in inst.batch]
-        self.soft = [r.soft for r in inst.batch]
-        self.new = [r.is_new for r in inst.batch]
-        self.B = len(inst.batch)
-        self.ctx_sum = sum(r.context_len for r in inst.batch)
-        self.settle = inst.settle_rounds
-        self._refresh_deadline()
+        self.base: list[float] = []
+        self.slo: list[float] = []
+        self.tok: list[int] = []
+        self.soft: list[bool] = []
+        self.B = 0
+        self.ctx_sum = 0
+        # min over members of (base + slo * tok), each member's Eq. 1
+        # next-token deadline.  Headroom comparisons use
+        # (min_deadline - now), which equals the minimum headroom because
+        # x -> x - now is monotone under rounding.
+        self.min_deadline = float("inf")
         # None marks the cached decode estimate dirty; an empty batch's
         # estimate is 0.0 forever (shadow batches never shrink).
-        self.estimate = 0.0 if not self.B else None
+        self.estimate: float | None = 0.0
+        self.settle = 0  # decode rounds since the last join
 
-    def _refresh_deadline(self) -> None:
-        # min over members of (deadline_base + tpot_slo * tokens_out):
-        # the member expressions of ShadowRequest.headroom.  Headroom
-        # comparisons then use (min_deadline - now), which equals
-        # min(headroom) because x -> x - now is monotone under rounding.
-        if self.B:
-            self.min_deadline = min(
-                base + slo * t for base, slo, t in zip(self.base, self.slo, self.tok)
+    @classmethod
+    def snapshot(cls, instance: Instance, perf: QuantifiedPerf) -> ShadowInstance:
+        """The virtual twin of a live instance: its pending prefills and batch."""
+        ready_at = (
+            instance.load_ready_at if instance.state is InstanceState.LOADING else 0.0
+        )
+        shadow = cls(perf, ready_at)
+        shadow.prefill_queue = [
+            ShadowRequest(r.deadline_base, r.tpot_slo, r.tokens_out, r.context_len, r.prefill_len)
+            for r in instance.prefill_pending
+        ]
+        for r in instance.batch:
+            shadow.join(r.deadline_base, r.tpot_slo, r.tokens_out, r.context_len)
+        return shadow
+
+    def admit(self, request: Request, grace: float) -> None:
+        """Queue the hypothetical new request, its grace widened by the caller."""
+        self.prefill_queue.append(
+            ShadowRequest(
+                request.arrival + request.ttft_slo + grace,
+                request.tpot_slo,
+                request.tokens_out,
+                request.context_len,
+                request.prefill_len,
+                is_new=True,
+                soft=request.tokens_out > 0,
             )
-        else:
-            self.min_deadline = float("inf")
+        )
+
+    def join(self, base: float, slo: float, tok: int, context: int, soft: bool = False) -> None:
+        """Add one member (deadline base, TPOT SLO, tokens out, context) to the batch."""
+        self.base.append(base)
+        self.slo.append(slo)
+        self.tok.append(tok)
+        self.soft.append(soft)
+        self.B += 1
+        self.ctx_sum += context
+        # Existing members' deadlines are untouched by a join.
+        deadline = base + slo * tok
+        if deadline < self.min_deadline:
+            self.min_deadline = deadline
+        self.estimate = None
 
     def decode_estimate(self, overestimate: float) -> float:
         if not self.B:
@@ -173,62 +164,59 @@ def shadow_validate(
     """Virtually execute the node's future and look for SLO violations.
 
     ``instances`` must already include the hypothetical new request in its
-    candidate instance's prefill queue (flagged ``is_new``).  The inputs
-    are treated as read-only snapshots: the simulation runs on internal
-    copies (callers build throwaway shadows, so nothing observes them
-    afterwards).
+    candidate instance's prefill queue (flagged ``is_new``).  The snapshots
+    are advanced in place and are spent afterwards: build fresh ones for
+    every call.
     """
     time = max(now, busy_until)
     new_prefilled = False
-    has_new = any(r.is_new for inst in instances for r in inst.prefill_queue + inst.batch)
-
-    flats = [_FlatInstance(inst) for inst in instances]
-    pending_prefills = sum(len(flat.queue) for flat in flats)
+    has_new = any(r.is_new for inst in instances for r in inst.prefill_queue)
+    pending_prefills = sum(len(inst.prefill_queue) - inst.head for inst in instances)
 
     for _ in range(max_iterations):
         # Case 3: once every prefill is absorbed, the steady-state decode
         # round across all instances must fit within one TPOT budget.
         if not pending_prefills:
             aggregate = 0
-            for flat in flats:
-                est = flat.estimate
+            for inst in instances:
+                est = inst.estimate
                 if est is None:
-                    est = flat.decode_estimate(overestimate)
+                    est = inst.decode_estimate(overestimate)
                 aggregate += est
             if aggregate > tpot_slo:
                 return ShadowVerdict.AGGREGATE_DECODE
-            if all(flat.settle >= _SETTLE_ROUNDS or not flat.B for flat in flats):
+            if all(inst.settle >= _SETTLE_ROUNDS or not inst.B for inst in instances):
                 return ShadowVerdict.PASS
 
-        # Work selection (the _select mirror): prefill urgency is the
-        # queue head's headroom, decode urgency the batch's minimum
-        # headroom; strict < keeps the first seen on ties.
+        # Work selection, mirroring the real min-headroom scheduler:
+        # prefill urgency is the queue head's headroom, decode urgency the
+        # batch's minimum headroom; strict < keeps the first seen on ties.
         best_u = 0.0
         best = None
         best_prefill = False
-        for flat in flats:
-            if flat.ready_at > time:
+        for inst in instances:
+            if inst.ready_at > time:
                 continue
-            if flat.head < len(flat.queue):
-                request = flat.queue[flat.head]
+            if inst.head < len(inst.prefill_queue):
+                request = inst.prefill_queue[inst.head]
                 urgency = request.deadline_base + request.tpot_slo * request.tokens_out - time
                 if best is None or urgency < best_u:
                     best_u = urgency
-                    best = flat
+                    best = inst
                     best_prefill = True
-            if flat.B:
-                urgency = flat.min_deadline - time
+            if inst.B:
+                urgency = inst.min_deadline - time
                 if best is None or urgency < best_u:
                     best_u = urgency
-                    best = flat
+                    best = inst
                     best_prefill = False
 
         if best is None:
             # Idle until the next instance becomes ready, if any.
             future = [
-                flat.ready_at
-                for flat in flats
-                if flat.ready_at > time and (flat.head < len(flat.queue) or flat.B)
+                inst.ready_at
+                for inst in instances
+                if inst.ready_at > time and (inst.head < len(inst.prefill_queue) or inst.B)
             ]
             if not future:
                 return ShadowVerdict.PASS
@@ -236,7 +224,7 @@ def shadow_validate(
             continue
 
         if best_prefill:
-            request = best.queue[best.head]
+            request = best.prefill_queue[best.head]
             best.head += 1
             duration = best.perf.ttft_seconds(request.prefill_len) * overestimate
             time += duration
@@ -248,19 +236,13 @@ def shadow_validate(
                     if request.is_new
                     else ShadowVerdict.EXISTING_DELAYED
                 )
-            tokens = request.tokens_out + 1
-            best.base.append(request.deadline_base)
-            best.slo.append(request.tpot_slo)
-            best.tok.append(tokens)
-            best.soft.append(request.soft)
-            best.new.append(request.is_new)
-            best.B += 1
-            best.ctx_sum += request.context_len + 1
-            # Existing members' deadlines are untouched by a join.
-            joined = request.deadline_base + request.tpot_slo * tokens
-            if joined < best.min_deadline:
-                best.min_deadline = joined
-            best.estimate = None
+            best.join(
+                request.deadline_base,
+                request.tpot_slo,
+                request.tokens_out + 1,
+                request.context_len + 1,
+                request.soft,
+            )
             best.settle = 0
             if request.is_new:
                 new_prefilled = True
@@ -274,8 +256,8 @@ def shadow_validate(
             tok = best.tok
             soft = best.soft
             # One pass: violation check on the pre-increment token count,
-            # then the post-increment deadline (what _refresh_deadline
-            # would recompute — identical floats, min of the same terms).
+            # then the post-increment deadline (the minimum of the same
+            # terms a fresh scan would take — identical floats).
             new_min = float("inf")
             for i in range(best.B):
                 b = base[i]
@@ -298,8 +280,8 @@ def shadow_validate(
     if has_new and not new_prefilled:
         soft_new = all(
             r.soft
-            for flat in flats
-            for r in flat.queue[flat.head:]
+            for inst in instances
+            for r in inst.prefill_queue[inst.head:]
             if r.is_new
         )
         if not soft_new:

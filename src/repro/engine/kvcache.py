@@ -44,9 +44,6 @@ class KVCache:
         blocks = -(-math.ceil(size_bytes) // self.block_bytes)  # ceil division
         return blocks * self.block_bytes
 
-    def tokens_capacity(self) -> int:
-        return self.allocated_bytes // self.token_bytes
-
     def used_bytes(self, context_tokens: int) -> int:
         """Bytes held by ``context_tokens`` tokens of live cache."""
         if context_tokens < 0:

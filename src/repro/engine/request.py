@@ -84,8 +84,17 @@ class Request:
     # SLO accounting (Eq. 1)
     # ------------------------------------------------------------------
     @property
+    def deadline_base(self) -> float:
+        """The token-independent part of Eq. 1's deadline: ST + TTFT_SLO + grace."""
+        return self.arrival + self.ttft_slo + self.grace
+
+    @property
     def next_token_deadline(self) -> float:
-        """Latest time the next token may appear without violating the SLO."""
+        """Latest time the next token may appear without violating the SLO.
+
+        Equal, bit for bit, to ``deadline_base + tpot_slo * tokens_out``;
+        spelled out inline because this is read on every token.
+        """
         return self.arrival + self.ttft_slo + self.grace + self.tpot_slo * self.tokens_out
 
     def headroom(self, now: float) -> float:

@@ -11,7 +11,8 @@ from repro.federation.spec import (
     FEDERATIONS,
     Federation,
     FederationError,
+    ShardWorkerError,
     resolve_federation,
 )
 
-__all__ = ["FEDERATIONS", "Federation", "FederationError", "resolve_federation"]
+__all__ = ["FEDERATIONS", "Federation", "FederationError", "ShardWorkerError", "resolve_federation"]

@@ -37,14 +37,15 @@ more workers run each host as a ``multiprocessing`` child speaking the
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import traceback
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Sequence, Union
+from typing import Any, NoReturn, Optional, Sequence, Union
 
 from repro.federation.partition import shard_stream, shard_workload
 from repro.federation.router import GlobalRouter, make_router
-from repro.federation.spec import Federation, resolve_federation
+from repro.federation.spec import Federation, ShardWorkerError, resolve_federation
 from repro.metrics.report import RunReport, merge_run_reports
 from repro.policies.events import RequestArrived, RequestCompleted, RequestDropped
 from repro.runner.executor import build_system, default_workers
@@ -223,7 +224,7 @@ class InProcessHost:
     def finish(self) -> dict[int, dict[str, Any]]:
         return {sid: runner.finish() for sid, runner in self.runners.items()}
 
-    def close(self) -> None:
+    def close(self, graceful: bool = True) -> None:
         pass
 
 
@@ -253,15 +254,15 @@ def _shard_worker_main(conn, spec_payload: dict, shard_ids: list[int], ingest: s
             elif op == "exit":
                 return
             else:
-                conn.send(("error", f"unknown shard command {op!r}"))
-                return
+                raise ValueError(f"unknown shard command {op!r}")
     except EOFError:
         return
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):
+        except OSError:
             pass
+        sys.exit(1)
     finally:
         conn.close()
 
@@ -290,34 +291,50 @@ class PipeHost:
         child.close()
         self._initial_horizons = self._recv()
 
+    def _send(self, command: tuple) -> None:
+        try:
+            self.conn.send(command)
+        except OSError:  # BrokenPipeError, ConnectionResetError: worker gone
+            self._fail("died")
+
     def _recv(self):
-        status, payload = self.conn.recv()
+        try:
+            status, payload = self.conn.recv()
+        except (EOFError, OSError):
+            self._fail("died")
         if status != "ok":
-            raise RuntimeError(f"federation shard worker failed:\n{payload}")
+            self._fail(f"failed:\n{payload}")
         return payload
+
+    def _fail(self, what: str) -> NoReturn:
+        self.process.join(timeout=5.0)
+        raise ShardWorkerError(
+            f"federation shard worker for shards {self.shard_ids} "
+            f"(exit code {self.process.exitcode}) {what}"
+        )
 
     def horizons(self) -> dict[int, Optional[float]]:
         return self._initial_horizons
 
     def deliver(self, by_shard: dict[int, list[RequestSpec]]) -> None:
-        self.conn.send(("deliver", by_shard))
+        self._send(("deliver", by_shard))
 
     def send_advance(self, until: Optional[float]) -> None:
-        self.conn.send(("advance", until))
+        self._send(("advance", until))
 
     def advance(self, until: Optional[float]) -> dict[int, tuple[int, int, int]]:
         self.send_advance(until)
         return self._recv()
 
     def send_run(self) -> None:
-        self.conn.send(("run",))
+        self._send(("run",))
 
     def run_all(self) -> dict[int, dict[str, Any]]:
         self.send_run()
         return self._recv()
 
     def send_finish(self) -> None:
-        self.conn.send(("finish",))
+        self._send(("finish",))
 
     def finish(self) -> dict[int, dict[str, Any]]:
         self.send_finish()
@@ -326,13 +343,15 @@ class PipeHost:
     def recv_reply(self):
         return self._recv()
 
-    def close(self) -> None:
-        try:
-            self.conn.send(("exit",))
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=30.0)
-        if self.process.is_alive():  # pragma: no cover - hang backstop
+    def close(self, graceful: bool = True) -> None:
+        """Stop the worker: ask it to exit, or (after a failure) kill it."""
+        if graceful:
+            try:
+                self.conn.send(("exit",))
+            except OSError:
+                pass
+            self.process.join(timeout=30.0)
+        if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=5.0)
         self.conn.close()
@@ -394,6 +413,7 @@ def run_federation(
             for chunk in range(processes)
         ]
 
+    finished = False
     try:
         if static:
             report_dicts, epochs = _run_static(hosts)
@@ -403,9 +423,12 @@ def run_federation(
             report_dicts, epochs, kv_migrations = _run_dynamic(
                 hosts, federation, router, controller_workload
             )
+        finished = True
     finally:
+        # After a failure the surviving workers may be mid-command: kill
+        # them instead of waiting for a reply nobody will read.
         for host in hosts:
-            host.close()
+            host.close(graceful=finished)
 
     shard_reports = [
         RunReport.from_dict(report_dicts[shard_id]) for shard_id in shard_ids

@@ -32,12 +32,17 @@ __all__ = [
     "Federation",
     "FederationError",
     "ROUTER_NAMES",
+    "ShardWorkerError",
     "resolve_federation",
 ]
 
 
 class FederationError(RegistryError):
     """Unknown federation name or invalid federation shape."""
+
+
+class ShardWorkerError(RuntimeError):
+    """A shard worker process died or reported a failure mid-run."""
 
 
 #: registered global-router strategies (implemented in

@@ -141,11 +141,14 @@ class PerfDatabase:
         pos = self._jitter_pos
         buf = self._jitter_buf
         if pos >= len(buf):
-            buf = np.exp(self._rng.normal(0.0, self.jitter_sigma, size=_JITTER_CHUNK)).tolist()
-            self._jitter_buf = buf
+            buf = self._jitter_buf = self._jitter_chunk()
             pos = 0
         self._jitter_pos = pos + 1
         return buf[pos]
+
+    def _jitter_chunk(self) -> list[float]:
+        """The next ``_JITTER_CHUNK`` multiplicative jitter draws."""
+        return np.exp(self._rng.normal(0.0, self.jitter_sigma, size=_JITTER_CHUNK)).tolist()
 
     def jitter_peek(self, count: int) -> list[float]:
         """The next ``count`` jitter values *without* consuming them.
@@ -165,10 +168,7 @@ class PerfDatabase:
         pos = self._jitter_pos
         buf = self._jitter_buf
         while len(buf) - pos < count:
-            chunk = np.exp(
-                self._rng.normal(0.0, self.jitter_sigma, size=_JITTER_CHUNK)
-            ).tolist()
-            buf = buf[pos:] + chunk
+            buf = buf[pos:] + self._jitter_chunk()
             pos = 0
             self._jitter_buf = buf
             self._jitter_pos = 0

@@ -23,12 +23,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Optional
 
-from repro.compute.shadow import (
-    ShadowInstance,
-    ShadowRequest,
-    ShadowVerdict,
-    shadow_validate,
-)
+from repro.compute.shadow import ShadowInstance, ShadowVerdict, shadow_validate
 from repro.consolidation.binpack import order_dispatch_candidates, order_nodes_best_fit
 from repro.consolidation.preemption import plan_preemption
 from repro.core.config import SlinferConfig, SystemConfig
@@ -258,49 +253,13 @@ class SlinferPlacement(PlacementPolicy):
     # ------------------------------------------------------------------
     # Shadow validation plumbing
     # ------------------------------------------------------------------
-    def _shadow_request(self, request: "Request", grace: float) -> ShadowRequest:
-        return ShadowRequest(
-            deadline_base=request.arrival + request.ttft_slo + grace,
-            tpot_slo=request.tpot_slo,
-            tokens_out=request.tokens_out,
-            context_len=request.context_len,
-            prefill_len=request.prefill_len,
-            is_new=True,
-            # Mid-stream requests (migrations, PD hand-offs) are placed
-            # best-effort: only harm to other requests vetoes placement.
-            soft=request.tokens_out > 0,
-        )
-
     def _shadow_instance(self, instance: Instance) -> ShadowInstance:
         system = self.system
         assert system is not None
         perf = system.perf.quantified(
             instance.node.spec, instance.model, instance.fraction, instance.tp_degree
         )
-        ready_at = (
-            instance.load_ready_at if instance.state is InstanceState.LOADING else 0.0
-        )
-        shadow = ShadowInstance(perf=perf, ready_at=ready_at)
-        for pending in instance.prefill_pending:
-            shadow.prefill_queue.append(
-                ShadowRequest(
-                    deadline_base=pending.arrival + pending.ttft_slo + pending.grace,
-                    tpot_slo=pending.tpot_slo,
-                    tokens_out=pending.tokens_out,
-                    context_len=pending.context_len,
-                    prefill_len=pending.prefill_len,
-                )
-            )
-        for running in instance.batch:
-            shadow.batch.append(
-                ShadowRequest(
-                    deadline_base=running.arrival + running.ttft_slo + running.grace,
-                    tpot_slo=running.tpot_slo,
-                    tokens_out=running.tokens_out,
-                    context_len=running.context_len,
-                )
-            )
-        return shadow
+        return ShadowInstance.snapshot(instance, perf)
 
     def _run_shadow(
         self,
@@ -392,7 +351,7 @@ class SlinferPlacement(PlacementPolicy):
                 grace = request.grace
                 if instance.state is InstanceState.LOADING:
                     grace = max(grace, instance.load_ready_at - request.arrival)
-                shadow.prefill_queue.append(self._shadow_request(request, grace))
+                shadow.admit(request, grace)
             shadows.append(shadow)
         return self._run_shadow(executor, shadows) is ShadowVerdict.PASS
 
@@ -601,7 +560,7 @@ class SlinferPlacement(PlacementPolicy):
         perf = system.perf.quantified(node.spec, deployment.model, 1.0, deployment.tp_degree)
         grace = max(request.grace, load_estimate)
         virtual = ShadowInstance(perf=perf, ready_at=system.sim.now + load_estimate)
-        virtual.prefill_queue.append(self._shadow_request(request, grace))
+        virtual.admit(request, grace)
         shadows.append(virtual)
         return self._run_shadow(executor, shadows) is ShadowVerdict.PASS
 

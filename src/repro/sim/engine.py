@@ -609,7 +609,7 @@ class VectorizedEngine(EngineBackend):
         st.reqs = reqs = list(batch)
         # Deadline coefficients straight from the requests, as the exact
         # partial sums of Request.next_token_deadline.
-        base = st.base = [(r.arrival + r.ttft_slo) + r.grace for r in reqs]
+        base = st.base = [r.deadline_base for r in reqs]
         tpot = st.tpot = [r.tpot_slo for r in reqs]
         tok0 = st.tok0 = [r.tokens_out for r in reqs]
         B = st.B = len(reqs)

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import signal
 import time
 
 import pytest
 
+from repro.federation import ShardWorkerError
 from repro.federation.router import StickySessionRouter, deployment_hash, make_router
-from repro.federation.runner import run_federation
+from repro.federation.runner import PipeHost, ShardRunner, run_federation
 from repro.federation.spec import FEDERATIONS, Federation, FederationError, resolve_federation
 from repro.runner import RunSpec, build_workload, execute_spec
 
@@ -101,6 +104,44 @@ def test_stream_ingest_matches_materialized():
     a = run_federation(_spec("sticky2"), workers=1, ingest="materialize")
     b = run_federation(_spec("sticky2"), workers=1, ingest="stream")
     assert _canonical(a.report) == _canonical(b.report)
+
+
+# ----------------------------------------------------------------------
+# Worker failures
+# ----------------------------------------------------------------------
+def test_killed_shard_worker_raises_typed_error(monkeypatch):
+    """A worker SIGKILLed mid-run surfaces as one typed error naming its
+    shards and exit code, promptly, instead of a bare EOFError."""
+    send_run = PipeHost.send_run
+
+    def stuck_run(runner):
+        time.sleep(60.0)  # forked workers stay mid-run until killed
+
+    def send_then_kill(host):
+        send_run(host)
+        if 0 in host.shard_ids:
+            os.kill(host.process.pid, signal.SIGKILL)
+
+    monkeypatch.setattr(ShardRunner, "run", stuck_run)
+    monkeypatch.setattr(PipeHost, "send_run", send_then_kill)
+    start = time.perf_counter()
+    with pytest.raises(ShardWorkerError, match=r"shards \[0, 2\] \(exit code -9\) died"):
+        run_federation(_spec("sticky4"), workers=2)
+    assert time.perf_counter() - start < 10.0
+    assert issubclass(ShardWorkerError, RuntimeError)
+
+
+def test_shard_worker_error_reply_raises_typed_error():
+    host = PipeHost(_spec("sticky4"), [1, 3], "materialize")
+    try:
+        host._send(("bogus",))
+        with pytest.raises(
+            ShardWorkerError,
+            match=r"(?s)shards \[1, 3\] \(exit code 1\) failed:.*unknown shard command",
+        ):
+            host.recv_reply()
+    finally:
+        host.close(graceful=False)
 
 
 # ----------------------------------------------------------------------
