@@ -171,8 +171,9 @@ class ServingSystem:
     ) -> RunReport:
         """Serve a workload to completion and return the measured report.
 
-        Materialized workloads pre-load the arrival heap (the legacy,
-        byte-identical path).  A :class:`WorkloadStream` is consumed
+        Materialized workloads pre-load the arrival heap (the reference
+        path the stream equivalence tests compare against).  A
+        :class:`WorkloadStream` — what batch runs feed — is consumed
         lazily instead: the system keeps exactly one pending arrival in
         the heap and pulls the next only after fully processing it, so
         ingest memory is O(in-flight) and live (unbounded-horizon)

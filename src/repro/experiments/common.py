@@ -46,5 +46,5 @@ def make_azure_workload(
         scale.requests_per_model,
         seed,
         dataset=length_distribution.name,
-    )
+    ).materialize()
 

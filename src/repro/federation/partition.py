@@ -4,56 +4,30 @@ A static router's partition is a pure function of the deployment names
 (:meth:`~repro.federation.router.GlobalRouter.assign`), so every shard
 can synthesize the full trace locally — the generators are seeded — and
 keep only its own slice.  No request objects ever cross a process
-boundary on the static path, and the per-shard subsequences preserve
-the trace's arrival order, so partitioning is trivially deterministic.
-
-Both workload forms partition: a materialized
-:class:`~repro.workloads.spec.Workload` filters its request list; a
-:class:`~repro.workloads.stream.WorkloadStream` wraps the source in a
-lazy filter, keeping the O(in-flight) ingest property per shard.
+boundary on the static path.  A shard's slice is a lazy filter over the
+trace stream, so the per-shard subsequence preserves the trace's
+arrival order and each shard keeps the O(in-flight) ingest property.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.workloads.spec import RequestSpec, Workload
+from repro.workloads.spec import RequestSpec
 from repro.workloads.stream import IteratorStream, WorkloadStream
 
-__all__ = ["shard_deployments", "shard_stream", "shard_workload"]
-
-
-def shard_deployments(workload, assignment: dict[str, int], shard_id: int) -> dict:
-    """The deployments a static partition homes on ``shard_id``."""
-    return {
-        name: deployment
-        for name, deployment in workload.deployments.items()
-        if assignment[name] == shard_id
-    }
-
-
-def shard_workload(workload: Workload, assignment: dict[str, int], shard_id: int) -> Workload:
-    """One shard's slice of a materialized workload.
-
-    The filtered subsequence of an arrival-sorted request list is still
-    arrival-sorted, so ``Workload.__post_init__``'s stable sort is a
-    no-op and per-shard arrival order matches the global trace exactly.
-    """
-    deployments = shard_deployments(workload, assignment, shard_id)
-    requests = [spec for spec in workload.requests if assignment[spec.deployment] == shard_id]
-    return Workload(
-        name=f"{workload.name}#{shard_id}",
-        deployments=deployments,
-        requests=requests,
-        duration=workload.duration,
-    )
+__all__ = ["shard_stream"]
 
 
 def shard_stream(
     stream: WorkloadStream, assignment: dict[str, int], shard_id: int
 ) -> WorkloadStream:
     """One shard's slice of a workload stream, filtered lazily."""
-    deployments = shard_deployments(stream, assignment, shard_id)
+    deployments = {
+        name: deployment
+        for name, deployment in stream.deployments.items()
+        if assignment[name] == shard_id
+    }
 
     def _filtered() -> Iterator[RequestSpec]:
         for spec in stream:

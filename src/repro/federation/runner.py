@@ -19,13 +19,14 @@ epoch's arrivals at the barrier that opens it from the in-flight counts
 measured there.
 
 **Determinism.**  Shard workloads are synthesized locally from the
-seeded generators and filtered (static) or routed by a sequential
-controller scanning the materialized trace in ``(arrival, trace index)``
-order with lowest-shard tie-breaks (dynamic); boundary deliveries are
-applied per shard in that same order before the barrier's advance; and
-shard reports always travel through the same ``to_dict``/``from_dict``
-round-trip whether a shard ran in-process or behind a pipe.  A federated
-run is therefore byte-identical across repetitions *and* worker counts.
+seeded generators and lazily filtered from the trace stream (static),
+or routed by a sequential controller scanning the materialized trace in
+``(arrival, trace index)`` order with lowest-shard tie-breaks
+(dynamic); boundary deliveries are applied per shard in that same order
+before the barrier's advance; and shard reports always travel through
+the same ``to_dict``/``from_dict`` round-trip whether a shard ran
+in-process or behind a pipe.  A federated run is therefore
+byte-identical across repetitions *and* worker counts.
 
 **Process model.**  ``workers`` (default ``REPRO_WORKERS``) bounds the
 process count: ``min(shards, workers)`` hosts, shards dealt round-robin.
@@ -41,9 +42,9 @@ import sys
 import traceback
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Any, NoReturn, Optional, Sequence, Union
+from typing import Any, NoReturn, Optional, Sequence
 
-from repro.federation.partition import shard_stream, shard_workload
+from repro.federation.partition import shard_stream
 from repro.federation.router import GlobalRouter, make_router
 from repro.federation.spec import Federation, ShardWorkerError, resolve_federation
 from repro.metrics.report import RunReport, merge_run_reports
@@ -56,7 +57,6 @@ from repro.runner.spec import (
     build_workload_stream,
 )
 from repro.workloads.spec import RequestSpec, Workload
-from repro.workloads.stream import WorkloadStream
 
 __all__ = [
     "FederationOutcome",
@@ -148,44 +148,37 @@ def _build_runners(
     federation: Federation,
     router: GlobalRouter,
     shard_ids: Sequence[int],
-    ingest: str,
-    workload: Union[Workload, WorkloadStream, None] = None,
+    workload: Optional[Workload] = None,
 ) -> dict[int, ShardRunner]:
-    """Construct this host's shard runners, synthesizing the trace once.
+    """Construct this host's shard runners over one trace stream.
 
-    Static routers slice the (locally re-synthesized, seeded) full trace
-    per shard; the dynamic router gives every shard the full deployment
-    set with an empty preload — its arrivals come from the controller.
-    A 1-shard federation always takes the static whole-trace path, so it
-    is the unsharded run by construction, whatever the router.
+    Static routers give each shard a lazy slice of the (locally
+    re-synthesized, seeded) full trace stream; the dynamic router gives
+    every shard the full deployment set with an empty preload — its
+    arrivals come from the controller, which may pass the workload it
+    already materialized.  A 1-shard federation always takes the static
+    whole-trace path, so it is the unsharded run by construction,
+    whatever the router.
     """
-    if workload is None:
-        if ingest == "stream" and (federation.is_static or federation.shards == 1):
-            workload = build_workload_stream(spec)
-        else:
-            workload = build_workload(spec)
+    trace = workload if workload is not None else build_workload_stream(spec)
     if federation.shards == 1:
-        return {0: ShardRunner(0, spec, workload)}
+        return {0: ShardRunner(0, spec, trace)}
     if federation.is_static:
-        assignment = router.assign(workload.deployments)
-        runners = {}
-        for shard_id in shard_ids:
-            if isinstance(workload, Workload):
-                sliced = shard_workload(workload, assignment, shard_id)
-            else:
-                sliced = shard_stream(workload, assignment, shard_id)
-            runners[shard_id] = ShardRunner(shard_id, spec, sliced)
-        return runners
-    if workload.duration is None:
+        assignment = router.assign(trace.deployments)
+        return {
+            shard_id: ShardRunner(shard_id, spec, shard_stream(trace, assignment, shard_id))
+            for shard_id in shard_ids
+        }
+    if trace.duration is None:
         raise ValueError(
             "dynamic federation routing needs a bounded workload horizon "
             "(workload.duration is None)"
         )
     empty = Workload(
-        name=f"{workload.name}#fed",
-        deployments=dict(workload.deployments),
+        name=f"{trace.name}#fed",
+        deployments=dict(trace.deployments),
         requests=[],
-        duration=workload.duration,
+        duration=trace.duration,
     )
     return {shard_id: ShardRunner(shard_id, spec, empty) for shard_id in shard_ids}
 
@@ -202,11 +195,10 @@ class InProcessHost:
         federation: Federation,
         router: GlobalRouter,
         shard_ids: Sequence[int],
-        ingest: str,
-        workload=None,
+        workload: Optional[Workload] = None,
     ) -> None:
         self.shard_ids = list(shard_ids)
-        self.runners = _build_runners(spec, federation, router, shard_ids, ingest, workload)
+        self.runners = _build_runners(spec, federation, router, shard_ids, workload)
 
     def horizons(self) -> dict[int, Optional[float]]:
         return {sid: runner.horizon for sid, runner in self.runners.items()}
@@ -228,13 +220,13 @@ class InProcessHost:
         pass
 
 
-def _shard_worker_main(conn, spec_payload: dict, shard_ids: list[int], ingest: str) -> None:
+def _shard_worker_main(conn, spec_payload: dict, shard_ids: list[int]) -> None:
     """Child-process entry point: serve ShardRunner commands off the pipe."""
     try:
         spec = RunSpec.from_dict(spec_payload)
         federation = resolve_federation(spec.federation)
         router = make_router(federation)
-        runners = _build_runners(spec, federation, router, shard_ids, ingest)
+        runners = _build_runners(spec, federation, router, shard_ids)
         conn.send(("ok", {sid: runner.horizon for sid, runner in runners.items()}))
         while True:
             command = conn.recv()
@@ -278,13 +270,13 @@ class PipeHost:
     process-level parallelism a federated run has.
     """
 
-    def __init__(self, spec: RunSpec, shard_ids: Sequence[int], ingest: str) -> None:
+    def __init__(self, spec: RunSpec, shard_ids: Sequence[int]) -> None:
         self.shard_ids = list(shard_ids)
         ctx = _mp_context()
         self.conn, child = ctx.Pipe()
         self.process = ctx.Process(
             target=_shard_worker_main,
-            args=(child, spec.to_dict(), list(shard_ids), ingest),
+            args=(child, spec.to_dict(), list(shard_ids)),
             daemon=True,
         )
         self.process.start()
@@ -372,21 +364,18 @@ def run_federation(
     spec: RunSpec,
     *,
     workers: Optional[int] = None,
-    ingest: str = "materialize",
 ) -> FederationOutcome:
     """Execute ``spec`` across its federation's shards and merge.
 
     ``workers`` caps the process count (``None`` = ``REPRO_WORKERS``);
-    shard *results* are independent of it.  ``ingest="stream"`` keeps
-    each static shard's ingest lazy; the dynamic router always
-    materializes the trace in the controller (routing needs it).
+    shard *results* are independent of it.  Static shards ingest lazy
+    slices of the trace stream; the dynamic router materializes the
+    trace in the controller, because routing scans the full list.
     """
     if spec.federation is None:
         raise ValueError("run_federation needs a spec with a federation axis")
     federation = resolve_federation(spec.federation)
     router = make_router(federation)
-    if ingest not in ("materialize", "stream"):
-        raise ValueError(f"unknown ingest mode {ingest!r} (known: materialize, stream)")
     worker_cap = default_workers() if workers is None else max(1, workers)
     processes = min(federation.shards, worker_cap)
     shard_ids = list(range(federation.shards))
@@ -403,15 +392,10 @@ def run_federation(
     hosts: list[Any]
     if processes <= 1:
         hosts = [
-            InProcessHost(
-                spec, federation, router, shard_ids, ingest, workload=controller_workload
-            )
+            InProcessHost(spec, federation, router, shard_ids, workload=controller_workload)
         ]
     else:
-        hosts = [
-            PipeHost(spec, shard_ids[chunk::processes], ingest)
-            for chunk in range(processes)
-        ]
+        hosts = [PipeHost(spec, shard_ids[chunk::processes]) for chunk in range(processes)]
 
     finished = False
     try:
@@ -552,7 +536,6 @@ def execute_federated(
     spec: RunSpec,
     *,
     workers: Optional[int] = None,
-    ingest: str = "materialize",
 ) -> RunResult:
     """Run a federated spec and wrap the merged report as a RunResult.
 
@@ -561,7 +544,7 @@ def execute_federated(
     layer itself reads no clocks, keeping it inside the ``no-wall-clock``
     lint scope.
     """
-    outcome = run_federation(spec, workers=workers, ingest=ingest)
+    outcome = run_federation(spec, workers=workers)
     return RunResult(
         spec=spec,
         fingerprint=spec.fingerprint(),

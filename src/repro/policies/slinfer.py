@@ -289,12 +289,27 @@ class SlinferPlacement(PlacementPolicy):
         extra_tp: int,
         exclude: Optional[set[int]] = None,
     ) -> bool:
-        """Cheap necessary conditions before the full shadow simulation.
+        """An O(instances) screen run before the full shadow simulation.
 
-        Case 3 (aggregate steady-state decode) and case 1 (the new
-        request's own prefill estimate vs its headroom) can be bounded in
-        O(instances) — the full virtual execution would reach the same
-        verdict, so rejecting here only saves work.
+        Two checks, with their own arithmetic:
+
+        * aggregate decode (case 3 style): every other active instance
+          with work adds
+          ``tpot_seconds(batch + pending prefills, avg context)``, where
+          the average is over its running batch only (the new request's
+          context when the batch is empty); the target adds
+          ``tpot_seconds(extra_batch + 1, request.context_len)``, the new
+          request's context alone, ignoring the target's pending
+          prefills.  The sum times ``overestimate`` must fit the TPOT SLO.
+        * own prefill (case 1 style, first token only): the new
+          request's prefill estimate times ``overestimate`` must fit its
+          headroom plus one TPOT and its grace; queued prefills ahead of
+          it are ignored.
+
+        This is not a relaxation of :func:`shadow_validate`: it can
+        reject placements the full virtual execution would pass, and its
+        rejections are final.  The placement verdict is this screen AND
+        the shadow simulation.
         """
         system = self.system
         assert system is not None

@@ -14,7 +14,7 @@ Usage::
     @SCENARIOS.register("my-trace")
     def my_trace(model, n_models, duration, requests_per_model, seed, **params):
         ...
-        return workload
+        return workload  # a Workload, or a WorkloadStream
 
     system = system_factory("slinfer")(build_cluster("paper"))
 
@@ -31,7 +31,11 @@ Contracts:
   ``cpu2-gpu6``) so sweeps can vary node counts without registering
   every shape.
 * **scenario** — ``factory(model, n_models, duration, requests_per_model,
-  seed, **params) -> Workload`` (see :mod:`repro.workloads.scenarios`).
+  seed, **params) -> WorkloadStream | Workload``.  The registered
+  scenarios return a lazy :class:`~repro.workloads.stream.GroupedStream`
+  (see :mod:`repro.workloads.scenarios`); a factory may instead return
+  a plain :class:`~repro.workloads.spec.Workload`, which runs are fed
+  through ``Workload.stream()``.
 """
 
 from __future__ import annotations

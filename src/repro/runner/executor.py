@@ -1,9 +1,10 @@
 """Sweep execution: one spec, or a grid of specs across worker processes.
 
-:func:`execute_spec` materializes and runs a single
-:class:`~repro.runner.spec.RunSpec`.  :class:`SweepExecutor` runs many —
-consulting the result cache first, then fanning the remainder out over a
-``multiprocessing`` pool (``--workers`` / ``REPRO_WORKERS``).
+:func:`execute_spec` runs a single :class:`~repro.runner.spec.RunSpec`,
+ingesting its scenario's trace as a lazy stream.  :class:`SweepExecutor`
+runs many — consulting the result cache first, then fanning the
+remainder out over a ``multiprocessing`` pool (``--workers`` /
+``REPRO_WORKERS``).
 
 Determinism: every simulation is fully seeded, and results always travel
 through the same JSON round-trip whether they were computed in-process,
@@ -20,7 +21,7 @@ from typing import Any, Sequence
 
 from repro.registry import build_cluster, system_factory
 from repro.runner.cache import ResultCache
-from repro.runner.spec import RunResult, RunSpec, build_workload, build_workload_stream
+from repro.runner.spec import RunResult, RunSpec, build_workload_stream
 
 
 def default_workers() -> int:
@@ -55,17 +56,14 @@ def build_system(spec: RunSpec, **system_kwargs: Any):
     )
 
 
-def execute_spec(
-    spec: RunSpec, workload=None, ingest: str = "materialize", **system_kwargs: Any
-) -> RunResult:
+def execute_spec(spec: RunSpec, workload=None, **system_kwargs: Any) -> RunResult:
     """Run one spec in-process and return its result envelope.
 
-    ``workload`` short-circuits trace synthesis when the caller already
-    materialized the spec's workload (it must be the one
+    The scenario's trace is fed lazily through
+    :func:`~repro.runner.spec.build_workload_stream` (O(in-flight) ingest
+    memory).  ``workload`` short-circuits trace synthesis when the caller
+    already built the spec's workload (it must be the one
     ``build_workload(spec)`` would produce, or the fingerprint lies).
-    ``ingest="stream"`` feeds the scenario lazily through its
-    :class:`~repro.workloads.stream.WorkloadStream` — same report,
-    O(in-flight) ingest memory.
 
     Specs with a ``federation`` axis dispatch to the sharded executor
     (:func:`repro.federation.runner.execute_federated`): the returned
@@ -81,16 +79,9 @@ def execute_spec(
             )
         from repro.federation.runner import execute_federated
 
-        return execute_federated(spec, ingest=ingest)
+        return execute_federated(spec)
     if workload is None:
-        if ingest == "stream":
-            workload = build_workload_stream(spec)
-        elif ingest == "materialize":
-            workload = build_workload(spec)
-        else:
-            raise ValueError(
-                f"unknown ingest mode {ingest!r} (known: materialize, stream)"
-            )
+        workload = build_workload_stream(spec)
     system = build_system(spec, **system_kwargs)
     report = system.run(workload)
     # The system is ours and finished: free its state by refcount now

@@ -10,12 +10,16 @@ hashable into a stable fingerprint (for the on-disk result cache).
 :class:`RunResult` is the envelope the executor returns — the measured
 :class:`~repro.metrics.report.RunReport` plus wall-clock timing and the
 spec fingerprint.
+
+A spec's trace comes from its scenario factory.  :func:`build_workload_stream`
+is what every run ingests (lazily, O(in-flight) memory);
+:func:`build_workload` materializes the same trace for callers that read
+the request list.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -240,8 +244,8 @@ class RunSpec:
         )
 
 
-def build_workload(spec: RunSpec) -> Workload:
-    """Materialize the spec's workload through the scenario registry."""
+def _scenario_trace(spec: RunSpec) -> Workload | WorkloadStream:
+    """Call the spec's scenario factory (a stream, or a plain Workload)."""
     factory = resolve_scenario(spec.scenario)
     return factory(
         get_model(spec.model),
@@ -253,34 +257,22 @@ def build_workload(spec: RunSpec) -> Workload:
     )
 
 
-def build_workload_stream(spec: RunSpec) -> "WorkloadStream":
-    """The spec's workload as a lazy :class:`WorkloadStream`.
+def build_workload(spec: RunSpec) -> Workload:
+    """The spec's workload, materialized into an arrival-sorted list."""
+    trace = _scenario_trace(spec)
+    return trace if isinstance(trace, Workload) else trace.materialize()
 
-    Scenario factories that understand ``emit`` yield a genuinely lazy
-    stream; anything else is materialized and adapted, so every
-    registered (or future third-party) scenario streams uniformly.
-    ``emit`` never enters ``scenario_params``: the trace is identical
-    either way, so fingerprints must not fork on ingest mode.
+
+def build_workload_stream(spec: RunSpec) -> WorkloadStream:
+    """The spec's workload as the lazy stream every run ingests.
+
+    Registered scenarios return their
+    :class:`~repro.workloads.stream.GroupedStream` as is; a
+    third-party factory that returns a plain :class:`Workload` is viewed
+    through :meth:`Workload.stream`.
     """
-    factory = resolve_scenario(spec.scenario)
-    parameters = inspect.signature(factory).parameters
-    supports_emit = "emit" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-    if not supports_emit:
-        return build_workload(spec).stream()
-    trace = factory(
-        get_model(spec.model),
-        spec.n_models,
-        spec.resolved_duration(),
-        spec.resolved_requests_per_model(),
-        spec.seed,
-        emit="stream",
-        **spec.params_dict(),
-    )
-    if isinstance(trace, Workload):
-        return trace.stream()
-    return trace
+    trace = _scenario_trace(spec)
+    return trace.stream() if isinstance(trace, Workload) else trace
 
 
 def expand_policy_grid(

@@ -34,8 +34,6 @@ from repro.workloads.stream import (
     StreamClosedError,
     StreamOrderError,
     WorkloadStream,
-    finish_trace,
-    rename_trace,
 )
 
 __all__ = [
@@ -48,8 +46,6 @@ __all__ = [
     "StreamClosedError",
     "StreamOrderError",
     "WorkloadStream",
-    "finish_trace",
-    "rename_trace",
     "AZURE_CODE",
     "AZURE_CONV",
     "AzureServerlessConfig",

@@ -15,6 +15,11 @@ reproduce (Figs. 3, 12, 21 and §III-C):
 The generator draws per-model base rates from a Zipf law (exponent ≈1.2
 yields the 26 % top-share), then emits a mix of Poisson singletons and
 clustered bursts whose size scales with the model's popularity.
+
+:func:`synthesize_azure_trace` returns the materialized
+:class:`~repro.workloads.spec.Workload`.  The scenarios built on this
+arrival process take the same draws as a lazy
+:class:`~repro.workloads.stream.GroupedStream` under their own names.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.models.catalog import ModelSpec
 from repro.sim.rng import make_rng
 from repro.workloads.datasets import AZURE_CONV, LengthDistribution
 from repro.workloads.spec import Deployment, Workload
-from repro.workloads.stream import ArrayGroup, WorkloadStream, finish_trace
+from repro.workloads.stream import ArrayGroup, GroupedStream
 
 # Requests per model per 30 minutes in the paper's sampled segments
 # (2366/32 ≈ 4684/64 ≈ 9266/128 ≈ 73 requests per model on average).
@@ -96,14 +101,29 @@ def synthesize_azure_trace(
     config: AzureServerlessConfig | None = None,
     length_distribution: LengthDistribution = AZURE_CONV,
     tp_degrees: dict[str, int] | None = None,
-    emit: str = "materialize",
-) -> Workload | WorkloadStream:
+) -> Workload:
     """Generate a multi-model serverless workload.
 
     ``models`` maps deployment names to their model specs (replicas of the
     same spec get distinct names, as in §IX-B where "32, 64, and 128 replica
-    models are generated from Llama-3.2-3B").  ``emit="stream"`` returns a
-    lazy :class:`WorkloadStream` over the same request sequence.
+    models are generated from Llama-3.2-3B").
+    """
+    return _azure_stream(
+        f"azure-serverless-{len(models)}m", models, config, length_distribution, tp_degrees
+    ).materialize()
+
+
+def _azure_stream(
+    trace_name: str,
+    models: dict[str, ModelSpec],
+    config: AzureServerlessConfig | None,
+    length_distribution: LengthDistribution,
+    tp_degrees: dict[str, int] | None = None,
+) -> GroupedStream:
+    """The synthetic serverless trace as emission groups, named ``trace_name``.
+
+    The scenarios built on this arrival process (``azure``,
+    ``mixed-fleet``, ``het-fleet``, ``cpu-harvest``) return it directly.
     """
     config = config or AzureServerlessConfig(n_models=len(models))
     if len(models) != config.n_models:
@@ -155,9 +175,7 @@ def synthesize_azure_trace(
         name: Deployment(name=name, model=spec, tp_degree=tp_degrees.get(name, 1))
         for name, spec in models.items()
     }
-    return finish_trace(
-        f"azure-serverless-{len(names)}m", deployments, groups, config.duration, emit
-    )
+    return GroupedStream(trace_name, deployments, groups, config.duration)
 
 
 def replica_models(spec: ModelSpec, count: int, prefix: str | None = None) -> dict[str, ModelSpec]:

@@ -20,7 +20,7 @@ from repro.models.catalog import ModelSpec
 from repro.sim.rng import make_rng
 from repro.workloads.datasets import AZURE_CONV, LengthDistribution
 from repro.workloads.spec import Deployment, RequestSpec, Workload
-from repro.workloads.stream import SpecGroup, WorkloadStream, finish_trace
+from repro.workloads.stream import GroupedStream, SpecGroup
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,18 @@ def synthesize_burstgpt_trace(
     models: dict[str, ModelSpec],
     config: BurstGPTConfig | None = None,
     length_distribution: LengthDistribution = AZURE_CONV,
-    emit: str = "materialize",
-) -> Workload | WorkloadStream:
+) -> Workload:
     """Generate a BurstGPT-style workload over ``models``."""
+    return _burstgpt_stream(models, config, length_distribution).materialize()
+
+
+def _burstgpt_stream(
+    models: dict[str, ModelSpec],
+    config: BurstGPTConfig | None,
+    length_distribution: LengthDistribution,
+) -> GroupedStream:
+    """The BurstGPT-style trace as one emission group (the ``burstgpt``
+    scenario returns it directly)."""
     config = config or BurstGPTConfig(n_models=len(models))
     if len(models) != config.n_models:
         raise ValueError(
@@ -75,10 +84,9 @@ def synthesize_burstgpt_trace(
         requests.append(RequestSpec(name, float(time), input_len, output_len))
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(
+    return GroupedStream(
         f"burstgpt-{config.aggregate_rps:g}rps",
         deployments,
         [SpecGroup(requests)],
         config.duration,
-        emit,
     )

@@ -3,7 +3,7 @@
 Every scenario is a factory with one shared signature::
 
     scenario(model, n_models, duration, requests_per_model, seed, **params)
-        -> Workload
+        -> GroupedStream
 
 registered in :data:`repro.registry.SCENARIOS` so sweeps can name it on
 the command line.  ``params`` are scenario-specific knobs; they must be
@@ -64,10 +64,13 @@ Scenarios:
   per-deployment prefix; the hit-rate sensitivity axis (the ad-hoc
   ``prefix-mix{P}`` spelling pins the fraction to ``P`` percent).
 
-Every factory accepts ``emit="materialize"`` (the default, returning a
-:class:`~repro.workloads.spec.Workload`) or ``emit="stream"`` (returning
-a lazy :class:`~repro.workloads.stream.WorkloadStream` over the same
-request sequence — identical RNG draws, spec construction deferred).
+Every factory returns its trace as a
+:class:`~repro.workloads.stream.GroupedStream`: the drawn per-deployment
+arrays, with spec construction deferred.  A run iterates it lazily
+(O(in-flight) ingest memory); ``.materialize()`` (what
+:func:`~repro.runner.spec.build_workload` calls) builds the
+arrival-sorted :class:`~repro.workloads.spec.Workload` from the same
+draws.
 """
 
 from __future__ import annotations
@@ -79,24 +82,16 @@ from repro.registry import SCENARIOS
 from repro.sim.rng import make_rng
 from repro.workloads.azure_serverless import (
     AzureServerlessConfig,
+    _azure_stream,
     _zipf_weights,
     clamp_input_lens,
     mixed_models,
     replica_models,
-    synthesize_azure_trace,
 )
-from repro.workloads.burstgpt import BurstGPTConfig, synthesize_burstgpt_trace
+from repro.workloads.burstgpt import BurstGPTConfig, _burstgpt_stream
 from repro.workloads.datasets import DATASETS, LengthDistribution
-from repro.workloads.spec import Deployment, RequestSpec, Workload
-from repro.workloads.stream import (
-    ArrayGroup,
-    SpecGroup,
-    WorkloadStream,
-    finish_trace,
-    rename_trace,
-)
-
-Trace = Workload | WorkloadStream
+from repro.workloads.spec import Deployment, RequestSpec
+from repro.workloads.stream import ArrayGroup, GroupedStream, SpecGroup
 
 
 def _length_distribution(dataset: str) -> LengthDistribution:
@@ -139,8 +134,7 @@ def azure(
     seed: int,
     *,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """§IX-B: replica deployments on the synthetic Azure Serverless trace."""
     config = AzureServerlessConfig(
         n_models=n_models,
@@ -148,8 +142,11 @@ def azure(
         requests_per_model=requests_per_model,
         seed=seed,
     )
-    return synthesize_azure_trace(
-        replica_models(model, n_models), config, _length_distribution(dataset), emit=emit
+    return _azure_stream(
+        f"azure-serverless-{n_models}m",
+        replica_models(model, n_models),
+        config,
+        _length_distribution(dataset),
     )
 
 
@@ -163,8 +160,7 @@ def burstgpt(
     *,
     aggregate_rps: float | None = None,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """§IX-I2: gamma-burst arrivals with Pareto model popularity.
 
     ``aggregate_rps`` overrides the rate implied by ``requests_per_model``.
@@ -174,9 +170,7 @@ def burstgpt(
     config = BurstGPTConfig(
         aggregate_rps=aggregate_rps, duration=duration, n_models=n_models, seed=seed
     )
-    return synthesize_burstgpt_trace(
-        replica_models(model, n_models), config, _length_distribution(dataset), emit=emit
-    )
+    return _burstgpt_stream(replica_models(model, n_models), config, _length_distribution(dataset))
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +188,7 @@ def diurnal(
     cycles: float = 1.0,
     zipf_exponent: float = 1.2,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """A day/night cycle compressed into the trace window.
 
     The arrival density is a raised sinusoid starting at the trough:
@@ -233,7 +226,7 @@ def diurnal(
         groups.append(_emit(name, times, length_rng, _length_distribution(dataset), model))
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(f"diurnal-{n_models}m", deployments, groups, duration, emit)
+    return GroupedStream(f"diurnal-{n_models}m", deployments, groups, duration)
 
 
 # ----------------------------------------------------------------------
@@ -251,8 +244,7 @@ def diurnal_week(
     weekend_factor: float = 0.6,
     zipf_exponent: float = 1.2,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """Seven day/night cycles with weekday/weekend modulation.
 
     The trace window represents one week: the arrival density is the
@@ -297,7 +289,7 @@ def diurnal_week(
         groups.append(_emit(name, times, length_rng, _length_distribution(dataset), model))
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(f"diurnal-week-{n_models}m", deployments, groups, duration, emit)
+    return GroupedStream(f"diurnal-week-{n_models}m", deployments, groups, duration)
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +310,7 @@ def million_burst(
     hot_share: float = 0.25,
     zipf_exponent: float = 1.2,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """Sustained storm traffic: heavy background plus a flash-crowd train.
 
     The total budget is ``load_factor`` times the stationary scenarios'
@@ -385,7 +376,7 @@ def million_burst(
             groups.append(_emit(name, times, length_rng, lengths, model))
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(f"million-burst-{n_models}m", deployments, groups, duration, emit)
+    return GroupedStream(f"million-burst-{n_models}m", deployments, groups, duration)
 
 
 # ----------------------------------------------------------------------
@@ -418,8 +409,7 @@ def fleet_diurnal_week(
     weekend_factor: float = 0.6,
     zipf_exponent: float = 1.2,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """``diurnal-week`` across time zones: per-region phase-shifted days.
 
     Deployments split into ``regions`` geographic groups (stable-hash
@@ -471,7 +461,7 @@ def fleet_diurnal_week(
         groups.append(_emit(name, times, length_rng, lengths, model))
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(f"fleet-diurnal-week-{n_models}m", deployments, groups, duration, emit)
+    return GroupedStream(f"fleet-diurnal-week-{n_models}m", deployments, groups, duration)
 
 
 @SCENARIOS.register("global-storm")
@@ -488,8 +478,7 @@ def global_storm(
     load_factor: float = 1.0,
     zipf_exponent: float = 1.2,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """Regional storms rotating around the planet, back to back.
 
     The trace window is cut into ``regions × cycles`` equal slots and
@@ -563,7 +552,7 @@ def global_storm(
             groups.append(_emit(name, times, length_rng, lengths, model))
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(f"global-storm-{n_models}m", deployments, groups, duration, emit)
+    return GroupedStream(f"global-storm-{n_models}m", deployments, groups, duration)
 
 
 # ----------------------------------------------------------------------
@@ -583,8 +572,7 @@ def bursty_spike(
     spike_share: float = 0.125,
     zipf_exponent: float = 1.2,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """Background traffic plus a coordinated flash crowd.
 
     Every deployment receives stationary Poisson background load; inside
@@ -622,7 +610,7 @@ def bursty_spike(
             groups.append(_emit(name, times, length_rng, lengths, model))
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(f"bursty-spike-{n_models}m", deployments, groups, duration, emit)
+    return GroupedStream(f"bursty-spike-{n_models}m", deployments, groups, duration)
 
 
 # ----------------------------------------------------------------------
@@ -641,8 +629,7 @@ def mixed_fleet(
     *,
     ratio: tuple[int, int, int, int] = (4, 1, 1, 1),
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """§IX-E: a 3B/7B/13B/34B fleet, the 34B tensor-parallel over 2 GPUs.
 
     ``ratio`` gives the population weights for the four sizes.  The
@@ -662,10 +649,9 @@ def mixed_fleet(
         seed=seed,
     )
     tp_degrees = {name: 2 for name, spec in models.items() if spec is CODELLAMA_34B}
-    source = synthesize_azure_trace(
-        models, config, _length_distribution(dataset), tp_degrees=tp_degrees, emit=emit
+    return _azure_stream(
+        f"mixed-fleet-{n_models}m", models, config, _length_distribution(dataset), tp_degrees
     )
-    return rename_trace(source, f"mixed-fleet-{n_models}m")
 
 
 # ----------------------------------------------------------------------
@@ -681,8 +667,7 @@ def het_fleet(
     *,
     ratio: tuple[int, int, int] = (3, 2, 1),
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """A 3B/7B/13B population for mixed-generation GPU fleets.
 
     Pair with the ``het-gpu`` cluster (2 CPU + 2 A100 + 2 V100-32GB):
@@ -703,8 +688,7 @@ def het_fleet(
         requests_per_model=requests_per_model,
         seed=seed,
     )
-    source = synthesize_azure_trace(models, config, _length_distribution(dataset), emit=emit)
-    return rename_trace(source, f"het-fleet-{n_models}m")
+    return _azure_stream(f"het-fleet-{n_models}m", models, config, _length_distribution(dataset))
 
 
 @SCENARIOS.register("cold-churn")
@@ -719,8 +703,7 @@ def cold_churn(
     wave_width: float = 0.5,
     background_share: float = 0.1,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """Rotating activity waves that keep the fleet cold-starting.
 
     The trace window splits into ``waves`` slots; deployment ``d`` is
@@ -759,7 +742,7 @@ def cold_churn(
             groups.append(_emit(name, times, length_rng, lengths, model))
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(f"cold-churn-{n_models}m", deployments, groups, duration, emit)
+    return GroupedStream(f"cold-churn-{n_models}m", deployments, groups, duration)
 
 
 @SCENARIOS.register("decode-marathon")
@@ -773,8 +756,7 @@ def decode_marathon(
     input_len: int = 64,
     output_len: int = 3500,
     stagger: float = 15.0,
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """Sustained long-decode streams: the chained-decode regime.
 
     Short prompts, near-maximum-length outputs, and a gentle staggered
@@ -802,8 +784,8 @@ def decode_marathon(
             requests.append(RequestSpec(name, time, input_len, out_len))
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(
-        f"decode-marathon-{n_models}m", deployments, [SpecGroup(requests)], duration, emit
+    return GroupedStream(
+        f"decode-marathon-{n_models}m", deployments, [SpecGroup(requests)], duration
     )
 
 
@@ -824,8 +806,7 @@ def shared_sysprompt(
     train_len: int = 10,
     headway: float = 5.0,
     zipf_exponent: float = 1.2,
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """Prompts dominated by one long per-deployment system prompt.
 
     Every request to deployment ``d`` opens with ``d``'s ``sys_tokens``
@@ -884,7 +865,7 @@ def shared_sysprompt(
         )
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(f"shared-sysprompt-{n_models}m", deployments, groups, duration, emit)
+    return GroupedStream(f"shared-sysprompt-{n_models}m", deployments, groups, duration)
 
 
 @SCENARIOS.register("agentic-loop")
@@ -900,8 +881,7 @@ def agentic_loop(
     turn_tokens: int = 128,
     output_tokens: int = 64,
     think_seconds: float = 3.0,
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """Multi-turn agent sessions re-submitting a growing context.
 
     Each session issues up to ``turns`` requests: turn ``j``'s prompt is
@@ -948,8 +928,8 @@ def agentic_loop(
                 )
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(
-        f"agentic-loop-{n_models}m", deployments, [SpecGroup(requests)], duration, emit
+    return GroupedStream(
+        f"agentic-loop-{n_models}m", deployments, [SpecGroup(requests)], duration
     )
 
 
@@ -965,8 +945,7 @@ def prefix_mix(
     prefix_tokens: int = 512,
     zipf_exponent: float = 1.2,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """A tunable mix of prefix-carrying and unique-prompt requests.
 
     A ``share`` fraction of each deployment's requests (Bernoulli per
@@ -1024,7 +1003,7 @@ def prefix_mix(
         groups.append(SpecGroup(specs))
 
     deployments = {name: Deployment(name=name, model=spec) for name, spec in models.items()}
-    return finish_trace(f"prefix-mix-{n_models}m", deployments, groups, duration, emit)
+    return GroupedStream(f"prefix-mix-{n_models}m", deployments, groups, duration)
 
 
 @SCENARIOS.register("cpu-harvest")
@@ -1036,8 +1015,7 @@ def cpu_harvest(
     seed: int,
     *,
     dataset: str = "azure-conversation",
-    emit: str = "materialize",
-) -> Trace:
+) -> GroupedStream:
     """Fig. 29: small-model traffic a harvested-core CPU can still serve.
 
     Replica deployments of the 3B model on the azure arrival process —
@@ -1052,7 +1030,9 @@ def cpu_harvest(
         requests_per_model=requests_per_model,
         seed=seed,
     )
-    source = synthesize_azure_trace(
-        replica_models(LLAMA32_3B, n_models), config, _length_distribution(dataset), emit=emit
+    return _azure_stream(
+        f"cpu-harvest-{n_models}m",
+        replica_models(LLAMA32_3B, n_models),
+        config,
+        _length_distribution(dataset),
     )
-    return rename_trace(source, f"cpu-harvest-{n_models}m")

@@ -13,21 +13,17 @@ Three stream families cover every producer:
 
 * :class:`MaterializedStream` — a :class:`Workload` viewed as a stream
   (``Workload.stream()``); re-iterable, zero-copy.
-* :class:`GroupedStream` — the lazy scenario path: per-deployment
-  emission groups (:class:`ArrayGroup` over the generators' batched RNG
-  arrays, :class:`SpecGroup` for loop-built traces) merged on demand by
-  a stable k-way merge.  The groups hold exactly the arrays the
-  materialized path draws — same RNG stream, same values — so
-  ``list(stream)`` equals the sorted materialized trace element for
-  element; only the merged ``list[RequestSpec]`` is never built.
+* :class:`GroupedStream` — what every registered scenario returns:
+  per-deployment emission groups (:class:`ArrayGroup` over the
+  generators' batched RNG arrays, :class:`SpecGroup` for loop-built
+  traces) merged on demand by a stable k-way merge, so the merged
+  ``list[RequestSpec]`` is never built.  ``materialize()`` concatenates
+  the same groups in emission order instead, and ``list(stream)``
+  equals the materialized trace's ``requests`` element for element.
 * :class:`QueueStream` — the live-ingest bridge: a thread-safe queue a
   gateway pushes into while the simulation thread consumes, with a
   consumed-count handshake so the producer knows when an arrival has
   been fully processed.
-
-Scenario factories return either form through :func:`finish_trace`,
-keyed by their ``emit`` keyword (``"materialize"`` is the byte-identical
-legacy path; ``"stream"`` returns the grouped lazy stream).
 """
 
 from __future__ import annotations
@@ -52,8 +48,6 @@ __all__ = [
     "StreamClosedError",
     "StreamOrderError",
     "WorkloadStream",
-    "finish_trace",
-    "rename_trace",
 ]
 
 #: specs converted from a group's arrays per chunk during lazy iteration;
@@ -149,10 +143,10 @@ class ArrayGroup:
     Holds exactly the arrays the generator drew (times in emission
     order, clamped lengths, an optional constant prefix), so keeping a
     group costs ~24 bytes per request instead of a ~150-byte
-    :class:`RequestSpec`.  ``emit`` reproduces the materialized path's
-    construction order byte for byte; ``ordered`` yields the same specs
-    sorted stably by arrival, converting ``STREAM_CHUNK`` rows at a
-    time.
+    :class:`RequestSpec`.  ``emit`` yields the specs in emission order,
+    the order :meth:`GroupedStream.materialize` concatenates;
+    ``ordered`` yields the same specs sorted stably by arrival,
+    converting ``STREAM_CHUNK`` rows at a time.
     """
 
     __slots__ = ("deployment", "times", "input_lens", "output_lens", "prefix_id", "prefix_len")
@@ -244,12 +238,12 @@ class SpecGroup:
 
 
 class GroupedStream(WorkloadStream):
-    """A lazy scenario trace: emission groups merged on demand.
+    """A scenario trace: emission groups merged on demand.
 
     Iteration k-way-merges the groups' ``ordered()`` iterators keyed on
     arrival.  ``heapq.merge`` breaks key ties by iterator position and
-    each ``ordered()`` is a stable sort, so ties resolve exactly as the
-    materialized path's global stable sort over the concatenated
+    each ``ordered()`` is a stable sort, so ties resolve exactly as
+    :meth:`materialize`'s global stable sort over the concatenated
     emission lists: within a group by emission order, across groups by
     group order.  Re-iterable — each pass merges afresh.
     """
@@ -278,44 +272,16 @@ class GroupedStream(WorkloadStream):
     def __iter__(self) -> Iterator[RequestSpec]:
         return heapq.merge(*(group.ordered() for group in self.groups), key=_arrival)
 
-
-def finish_trace(
-    name: str,
-    deployments: dict[str, Deployment],
-    groups: Sequence[Union[ArrayGroup, SpecGroup]],
-    duration: float,
-    emit: str,
-) -> Union[Workload, WorkloadStream]:
-    """Assemble a scenario's emission groups into the requested form.
-
-    ``emit="materialize"`` concatenates the groups in emission order and
-    lets :class:`Workload` apply its stable sort — byte-identical to the
-    pre-streaming generators.  ``emit="stream"`` wraps the same groups
-    in a :class:`GroupedStream` without ever building the merged list.
-    """
-    if emit == "materialize":
-        requests = [spec for group in groups for spec in group.emit()]
+    def materialize(self) -> Workload:
+        """The groups concatenated in emission order, stably sorted by
+        :class:`Workload` — cheaper than draining the k-way merge."""
+        requests = [spec for group in self.groups for spec in group.emit()]
         return Workload(
-            name=name, deployments=deployments, requests=requests, duration=duration
+            name=self.name,
+            deployments=dict(self.deployments),
+            requests=requests,
+            duration=self.duration,
         )
-    if emit == "stream":
-        return GroupedStream(name, deployments, groups, duration)
-    raise ValueError(f"unknown emit mode {emit!r} (known: materialize, stream)")
-
-
-def rename_trace(
-    source: Union[Workload, WorkloadStream], name: str
-) -> Union[Workload, WorkloadStream]:
-    """Rebadge a synthesized trace under a scenario's own name."""
-    if isinstance(source, Workload):
-        return Workload(
-            name=name,
-            deployments=source.deployments,
-            requests=source.requests,
-            duration=source.duration,
-        )
-    source.name = name
-    return source
 
 
 # ----------------------------------------------------------------------

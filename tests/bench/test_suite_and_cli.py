@@ -1,8 +1,10 @@
 """End-to-end: run_bench writes the trajectory; the CLI gates on it."""
 
+import itertools
 import json
+from types import SimpleNamespace
 
-from repro.bench import BenchConfig, load_report, run_bench
+from repro.bench import BenchConfig, load_report, run_bench, timers
 from repro.cli import main
 
 _FAST = {"workload-synthesis"}  # cheapest core case: trace synthesis only
@@ -55,7 +57,12 @@ def test_filtered_gate_ignores_deliberately_skipped_cases(tmp_path):
     assert outcome.gate_passed
 
 
-def test_gate_passes_against_own_output(tmp_path):
+def test_gate_passes_against_own_output(tmp_path, monkeypatch):
+    """The gate accepts a run identical to its baseline.  The timers read
+    a fake clock that advances a fixed step per call, so both runs
+    report the same events/sec and host speed cannot flake the test."""
+    ticks = itertools.count()
+    monkeypatch.setattr(timers, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * 1e-3))
     run_bench(_fast_config(), out_dir=tmp_path, only=_FAST)
     outcome = run_bench(
         _fast_config(),

@@ -21,7 +21,8 @@ from repro.federation import ShardWorkerError
 from repro.federation.router import StickySessionRouter, deployment_hash, make_router
 from repro.federation.runner import PipeHost, ShardRunner, run_federation
 from repro.federation.spec import FEDERATIONS, Federation, FederationError, resolve_federation
-from repro.runner import RunSpec, build_workload, execute_spec
+from repro.runner import RunSpec, build_system, build_workload, execute_spec
+from repro.workloads import Workload
 
 
 def _spec(federation: str, scenario: str = "global-storm", **kwargs) -> RunSpec:
@@ -101,9 +102,27 @@ def test_shard_partition_conserves_the_trace():
 
 
 def test_stream_ingest_matches_materialized():
-    a = run_federation(_spec("sticky2"), workers=1, ingest="materialize")
-    b = run_federation(_spec("sticky2"), workers=1, ingest="stream")
-    assert _canonical(a.report) == _canonical(b.report)
+    """Each static shard ingests a lazy slice of the trace stream; its
+    report must equal the reference run over the shard's materialized
+    slice of the same trace."""
+    spec = _spec("sticky2", n_models=8)
+    outcome = run_federation(spec, workers=1)
+    workload = build_workload(spec)
+    assignment = make_router(resolve_federation(spec.federation)).assign(workload.deployments)
+    for shard_id, shard_report in enumerate(outcome.shard_reports):
+        shard = Workload(
+            name=f"{workload.name}#{shard_id}",
+            deployments={
+                name: deployment
+                for name, deployment in workload.deployments.items()
+                if assignment[name] == shard_id
+            },
+            requests=[r for r in workload.requests if assignment[r.deployment] == shard_id],
+            duration=workload.duration,
+        )
+        assert shard.requests  # both shards carry traffic
+        reference = build_system(spec).run(shard)
+        assert _canonical(shard_report) == _canonical(reference)
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +151,7 @@ def test_killed_shard_worker_raises_typed_error(monkeypatch):
 
 
 def test_shard_worker_error_reply_raises_typed_error():
-    host = PipeHost(_spec("sticky4"), [1, 3], "materialize")
+    host = PipeHost(_spec("sticky4"), [1, 3])
     try:
         host._send(("bogus",))
         with pytest.raises(

@@ -79,8 +79,8 @@ def test_prefix_mix_percent_sets_share():
     none = resolve_scenario("prefix-mix0")(
         LLAMA2_7B, n_models=2, duration=60.0, requests_per_model=20, seed=7
     )
-    assert all(request.prefix_id for request in full.requests)
-    assert not any(request.prefix_id for request in none.requests)
+    assert all(request.prefix_id for request in full)
+    assert not any(request.prefix_id for request in none)
 
 
 def test_prefix_mix_percent_over_100_rejected():

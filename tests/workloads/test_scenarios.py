@@ -7,7 +7,8 @@ from repro.registry import SCENARIOS
 
 
 def build(name, n_models=16, duration=600.0, requests_per_model=24.0, seed=3, **params):
-    return SCENARIOS.get(name)(LLAMA2_7B, n_models, duration, requests_per_model, seed, **params)
+    trace = SCENARIOS.get(name)(LLAMA2_7B, n_models, duration, requests_per_model, seed, **params)
+    return trace.materialize()
 
 
 @pytest.mark.parametrize(
@@ -35,6 +36,21 @@ def test_scenarios_build_valid_workloads(name):
     assert workload.duration == 600.0
     assert workload.total_requests > 0
     assert all(0.0 <= r.arrival < 600.0 for r in workload.requests)
+
+
+@pytest.mark.parametrize(
+    "name, trace_name",
+    [
+        ("azure", "azure-serverless-16m"),
+        ("burstgpt", "burstgpt-0.64rps"),
+        ("mixed-fleet", "mixed-fleet-16m"),
+        ("het-fleet", "het-fleet-16m"),
+        ("cpu-harvest", "cpu-harvest-16m"),
+        ("diurnal", "diurnal-16m"),
+    ],
+)
+def test_scenarios_name_their_traces(name, trace_name):
+    assert SCENARIOS.get(name)(LLAMA2_7B, 16, 600.0, 24.0, 3).name == trace_name
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,6 @@ from repro.workloads import (
     StreamClosedError,
     StreamOrderError,
     Workload,
-    finish_trace,
-    rename_trace,
 )
 
 
@@ -94,19 +92,18 @@ def test_grouped_stream_merges_sorted_and_breaks_ties_by_group_order():
     assert merged == list(stream)  # re-iterable
 
 
-def test_finish_trace_matches_between_modes():
-    deployments = _deployments("a")
-    group = ArrayGroup("a", np.array([2.0, 0.5]), np.array([8, 9]), np.array([1, 1]))
-    materialized = finish_trace("t", deployments, [group], 4.0, "materialize")
-    streamed = finish_trace("t", deployments, [group], 4.0, "stream")
+def test_grouped_stream_materializes_in_emission_order():
+    deployments = _deployments("a", "b")
+    first = ArrayGroup("a", np.array([2.0, 0.5]), np.array([8, 9]), np.array([1, 1]))
+    second = SpecGroup([_spec("b", 2.0), _spec("b", 1.0)])
+    stream = GroupedStream("t", deployments, [first, second], duration=4.0)
+    materialized = stream.materialize()
+    emitted = [*first.emit(), *second.emit()]
+    expected = Workload(name="t", deployments=deployments, requests=emitted, duration=4.0)
     assert isinstance(materialized, Workload)
-    assert list(streamed) == materialized.requests
-    assert streamed.duration == materialized.duration == 4.0
-
-
-def test_finish_trace_rejects_unknown_emit():
-    with pytest.raises(ValueError, match="emit"):
-        finish_trace("t", _deployments("a"), [], 1.0, "lazy-ish")
+    assert materialized == expected
+    assert list(stream) == materialized.requests
+    assert materialized.deployments is not stream.deployments
 
 
 def test_spec_group_orders_by_arrival():
@@ -114,14 +111,6 @@ def test_spec_group_orders_by_arrival():
     group = SpecGroup(specs)
     assert list(group.emit()) == specs
     assert [s.arrival for s in group.ordered()] == [1.0, 2.0]
-
-
-def test_rename_trace_covers_both_shapes(workload):
-    renamed = rename_trace(workload, "fresh")
-    assert isinstance(renamed, Workload)
-    assert renamed.name == "fresh" and renamed.requests == workload.requests
-    stream = rename_trace(workload.stream(), "live")
-    assert stream.name == "live"
 
 
 # ----------------------------------------------------------------------
