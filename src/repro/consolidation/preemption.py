@@ -38,9 +38,10 @@ class PreemptionPlan:
     migrations: list[tuple[Request, Instance]] = field(default_factory=list)
 
 
-def _victim_candidates(system: "SlinferPlacement", target: Instance) -> list[Instance]:
+def _victim_candidates(placement: "SlinferPlacement", target: Instance) -> list[Instance]:
     """Smaller-batch neighbours on the target's executor, smallest first."""
-    executor = system.executor_for(target)
+    assert placement.system is not None
+    executor = placement.system.executor_for(target)
     neighbours = [
         inst
         for inst in executor.active_instances()
@@ -48,13 +49,13 @@ def _victim_candidates(system: "SlinferPlacement", target: Instance) -> list[Ins
         and inst.state is InstanceState.ACTIVE
         and inst.batch_size < target.batch_size
         and not inst.exclusive
-        and not system.unloading(inst)
+        and not placement.unloading(inst)
     ]
     return sorted(neighbours, key=lambda inst: (inst.batch_size, inst.inst_id))
 
 
 def _destinations_for(
-    system: "SlinferPlacement", victim: Instance, excluded: set[int]
+    placement: "SlinferPlacement", victim: Instance, excluded: set[int]
 ) -> list[tuple[Request, Instance]] | None:
     """Validated destinations for every request of ``victim``.
 
@@ -62,6 +63,8 @@ def _destinations_for(
     (on different executors).  Any request without a valid destination
     aborts the plan.
     """
+    system = placement.system
+    assert system is not None
     destinations: list[tuple[Request, Instance]] = []
     replicas = [
         inst
@@ -74,7 +77,7 @@ def _destinations_for(
     for request in victim.requests:
         placed = False
         for replica in replicas:
-            if system.validate_migration(replica, request):
+            if placement.validate_migration(replica, request):
                 destinations.append((request, replica))
                 placed = True
                 break
@@ -83,9 +86,13 @@ def _destinations_for(
     return destinations
 
 
-def plan_preemption(system: "SlinferPlacement", request: Request, deployment: str) -> PreemptionPlan | None:
+def plan_preemption(
+    placement: "SlinferPlacement", request: Request, deployment: str
+) -> PreemptionPlan | None:
     """Find a preemption that lets some replica of ``deployment`` absorb
     ``request``; None when no valid plan exists."""
+    system = placement.system
+    assert system is not None
     replicas = [
         inst
         for inst in system.instances_of(deployment)
@@ -97,15 +104,15 @@ def plan_preemption(system: "SlinferPlacement", request: Request, deployment: st
         victim_ids: set[int] = set()
         victims: list[Instance] = []
         migrations: list[tuple[Request, Instance]] = []
-        for victim in _victim_candidates(system, target):
+        for victim in _victim_candidates(placement, target):
             if len(victims) >= MAX_VICTIMS_PER_PLAN:
                 break
-            moves = _destinations_for(system, victim, victim_ids)
+            moves = _destinations_for(placement, victim, victim_ids)
             if moves is None:
                 continue
             victims.append(victim)
             victim_ids.add(victim.inst_id)
             migrations.extend(moves)
-            if system.validate_after_preemption(target, request, victims):
+            if placement.validate_after_preemption(target, request, victims):
                 return PreemptionPlan(target=target, victims=victims, migrations=migrations)
     return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.instance import Instance
+from repro.engine.instance import Instance, InstanceState
 from repro.hardware.node import Node
 
 
@@ -38,8 +38,6 @@ class Executor:
         return [instance for instance in self.instances if instance.has_work]
 
     def active_instances(self) -> list[Instance]:
-        from repro.engine.instance import InstanceState
-
         return [inst for inst in self.instances if inst.state is not InstanceState.UNLOADED]
 
     def add_instance(self, instance: Instance) -> None:

@@ -9,7 +9,7 @@ and batch size, so extrapolation is rare and mild).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -48,15 +48,14 @@ class Interp2D:
     xs: list[float]
     ys: list[float]
     values: list[list[float]]
-    _row_interps: list[Interp1D] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.xs):
             raise ValueError("values must have one row per x sample")
         if any(len(row) != len(self.ys) for row in self.values):
             raise ValueError("every row must have one entry per y sample")
-        self._row_interps = [Interp1D(self.ys, row) for row in self.values]
-        # Validate x monotonicity via a throwaway interpolator.
+        # Validate both axes' monotonicity via throwaway interpolators.
+        Interp1D(self.ys, [0.0] * len(self.ys))
         Interp1D(self.xs, [0.0] * len(self.xs))
 
     def __call__(self, x: float, y: float) -> float:

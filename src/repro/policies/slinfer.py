@@ -21,7 +21,7 @@ iteration underestimation recovery (§VII-D) subscribes to
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Collection, Optional
 
 from repro.compute.shadow import ShadowInstance, ShadowVerdict, shadow_validate
 from repro.consolidation.binpack import order_dispatch_candidates, order_nodes_best_fit
@@ -40,6 +40,7 @@ from repro.memory.operations import MemoryOp, OpKind, OpState
 from repro.memory.orchestrator import MemoryOrchestrator
 from repro.memory.watermark import WatermarkPolicy
 from repro.perf.laws import kv_scaling_seconds
+from repro.perf.profiler import QuantifiedPerf
 from repro.policies.base import PlacementPolicy
 from repro.policies.events import (
     DecodeChainHandler,
@@ -138,17 +139,6 @@ class SlinferPlacement(PlacementPolicy):
         return orch._accounts[instance.inst_id].unload_issued
 
     # ------------------------------------------------------------------
-    # Delegation surface for the preemption planner
-    # ------------------------------------------------------------------
-    def executor_for(self, instance: Instance) -> Executor:
-        assert self.system is not None
-        return self.system.executor_for(instance)
-
-    def instances_of(self, deployment: str) -> list[Instance]:
-        assert self.system is not None
-        return self.system.instances_of(deployment)
-
-    # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
     def try_place(self, system: "ServingSystem", request: "Request") -> bool:
@@ -220,7 +210,13 @@ class SlinferPlacement(PlacementPolicy):
                 target = require  # §VII-D intra-instance compromise
             else:
                 return False
-        if not self._shadow_ok(instance, request):
+        if not self._compute_admits(
+            request,
+            system.executor_for(instance),
+            self._perf_of(instance),
+            _join_grace(instance, request),
+            target=instance,
+        ):
             return False
         if target is not None:
             if instance.state is InstanceState.LOADING:
@@ -251,128 +247,102 @@ class SlinferPlacement(PlacementPolicy):
         return tokens * instance.model.kv_bytes_per_token
 
     # ------------------------------------------------------------------
-    # Shadow validation plumbing
+    # Compute admission (§VI-C): the one check every placement passes
     # ------------------------------------------------------------------
-    def _shadow_instance(self, instance: Instance) -> ShadowInstance:
+    def _perf_of(self, instance: Instance) -> QuantifiedPerf:
         system = self.system
         assert system is not None
-        perf = system.perf.quantified(
+        return system.perf.quantified(
             instance.node.spec, instance.model, instance.fraction, instance.tp_degree
         )
-        return ShadowInstance.snapshot(instance, perf)
 
-    def _run_shadow(
+    def _compute_admits(
         self,
-        executor: Executor,
-        shadows: list[ShadowInstance],
-    ) -> ShadowVerdict:
-        system = self.system
-        assert system is not None
-        busy_until = executor.busy_until if executor.busy else system.sim.now
-        with system.overhead_timer("shadow_validation"):
-            verdict = shadow_validate(
-                shadows,
-                now=system.sim.now,
-                busy_until=busy_until,
-                tpot_slo=system.slo.tpot,
-                overestimate=self.cfg.overestimate,
-            )
-        return verdict
-
-    def _shadow_precheck(
-        self,
-        executor: Executor,
         request: "Request",
-        extra_batch: int,
-        extra_model: "ModelSpec",
-        extra_fraction: float,
-        extra_tp: int,
-        exclude: Optional[set[int]] = None,
+        executor: Executor,
+        perf: QuantifiedPerf,
+        grace: float,
+        target: Optional[Instance] = None,
+        ready_at: float = 0.0,
+        exclude: Collection[int] = (),
     ) -> bool:
-        """An O(instances) screen run before the full shadow simulation.
+        """Would ``executor``'s node serve ``request`` within SLOs (§VI-C)?
 
-        Two checks, with their own arithmetic:
+        The request joins ``target``, an existing replica, or, when
+        ``target`` is None, a new instance ready at ``ready_at``.  The
+        caller supplies the joined instance's ``perf`` and the request's
+        ``grace``; instances whose ids are in ``exclude`` (preemption
+        victims) count as gone.
 
-        * aggregate decode (case 3 style): every other active instance
-          with work adds
-          ``tpot_seconds(batch + pending prefills, avg context)``, where
-          the average is over its running batch only (the new request's
-          context when the batch is empty); the target adds
-          ``tpot_seconds(extra_batch + 1, request.context_len)``, the new
-          request's context alone, ignoring the target's pending
-          prefills.  The sum times ``overestimate`` must fit the TPOT SLO.
-        * own prefill (case 1 style, first token only): the new
-          request's prefill estimate times ``overestimate`` must fit its
-          headroom plus one TPOT and its grace; queued prefills ahead of
-          it are ignored.
+        An O(instances) precheck runs first, with its own arithmetic:
 
-        This is not a relaxation of :func:`shadow_validate`: it can
-        reject placements the full virtual execution would pass, and its
-        rejections are final.  The placement verdict is this screen AND
-        the shadow simulation.
+        * aggregate decode (case 3 style): every other instance with
+          work adds ``tpot_seconds(batch + pending prefills, avg
+          context)``, averaged over its running batch only (the new
+          request's context when the batch is empty); the joined
+          instance adds ``tpot_seconds(batch + 1, request.context_len)``,
+          ignoring its pending prefills.  The sum times ``overestimate``
+          must fit the TPOT SLO.
+        * own prefill (case 1 style, first token only): the prefill
+          estimate times ``overestimate`` must fit the request's
+          headroom plus one TPOT and its own grace, ignoring queued
+          prefills ahead of it.
+
+        Its rejections are final, and it can reject placements the
+        virtual execution would pass.  Only then is every active,
+        non-excluded instance snapshotted in executor order (the new
+        request queued on ``target``, or on a virtual instance appended
+        last) for :func:`shadow_validate`.
         """
         system = self.system
         assert system is not None
-        exclude = exclude or set()
+        now = system.sim.now
+        overestimate = self.cfg.overestimate
+        active = [inst for inst in executor.active_instances() if inst.inst_id not in exclude]
         aggregate = 0.0
-        for other in executor.active_instances():
-            if other.inst_id in exclude:
+        for other in active:
+            if other is target:
                 continue
             batch = other.batch_size + len(other.prefill_pending)
             if batch > 0:
                 context = other.avg_context_len() or request.context_len
-                perf = system.perf.quantified(
-                    other.node.spec, other.model, other.fraction, other.tp_degree
-                )
-                aggregate += perf.tpot_seconds(batch, context)
-        perf_new = system.perf.quantified(
-            executor.node.spec, extra_model, extra_fraction, extra_tp
-        )
-        aggregate += perf_new.tpot_seconds(extra_batch + 1, request.context_len)
-        if aggregate * self.cfg.overestimate > system.slo.tpot:
+                aggregate += self._perf_of(other).tpot_seconds(batch, context)
+        joined = target.batch_size if target is not None else 0
+        aggregate += perf.tpot_seconds(joined + 1, request.context_len)
+        if aggregate * overestimate > system.slo.tpot:
             return False
-        if request.tokens_out > 0:
-            return True  # mid-stream: own deadline is soft
-        prefill = perf_new.ttft_seconds(request.prefill_len) * self.cfg.overestimate
-        headroom = request.headroom(system.sim.now) + request.tpot_slo
-        return prefill <= headroom + max(0.0, request.grace)
-
-    def _shadow_ok(
-        self,
-        instance: Instance,
-        request: "Request",
-        exclude: Optional[set[int]] = None,
-    ) -> bool:
-        system = self.system
-        assert system is not None
-        executor = system.executor_for(instance)
-        exclude = exclude or set()
-        if not self._shadow_precheck(
-            executor,
-            request,
-            extra_batch=instance.batch_size,
-            extra_model=instance.model,
-            extra_fraction=instance.fraction,
-            extra_tp=instance.tp_degree,
-            exclude=exclude | {instance.inst_id},
-        ):
-            return False
+        if request.tokens_out == 0:  # mid-stream: own deadline is soft
+            prefill = perf.ttft_seconds(request.prefill_len) * overestimate
+            headroom = request.headroom(now) + request.tpot_slo
+            if prefill > headroom + max(0.0, request.grace):
+                return False
         shadows = []
-        for other in executor.active_instances():
-            if other.inst_id in exclude:
-                continue
-            shadow = self._shadow_instance(other)
-            if other is instance:
-                grace = request.grace
-                if instance.state is InstanceState.LOADING:
-                    grace = max(grace, instance.load_ready_at - request.arrival)
+        for other in active:
+            if other is target:
+                shadow = ShadowInstance.snapshot(other, perf)
                 shadow.admit(request, grace)
+            else:
+                shadow = ShadowInstance.snapshot(other, self._perf_of(other))
             shadows.append(shadow)
-        return self._run_shadow(executor, shadows) is ShadowVerdict.PASS
+        if target is None:
+            virtual = ShadowInstance(perf, ready_at)
+            virtual.admit(request, grace)
+            shadows.append(virtual)
+        with system.overhead_timer("shadow_validation"):
+            verdict = shadow_validate(
+                shadows,
+                now=now,
+                busy_until=executor.busy_until if executor.busy else now,
+                tpot_slo=system.slo.tpot,
+                overestimate=overestimate,
+            )
+        return verdict is ShadowVerdict.PASS
 
     # Hooks used by the preemption planner ------------------------------
     def validate_migration(self, destination: Instance, request: "Request") -> bool:
         """Would ``request`` (about to be evicted) meet SLOs on ``destination``?"""
+        system = self.system
+        assert system is not None
         if destination.state is InstanceState.UNLOADED or self.unloading(destination):
             return False
         orch = self._orch(destination)
@@ -382,12 +352,20 @@ class SlinferPlacement(PlacementPolicy):
             destination, require
         ):
             return False
-        return self._shadow_ok(destination, request)
+        return self._compute_admits(
+            request,
+            system.executor_for(destination),
+            self._perf_of(destination),
+            _join_grace(destination, request),
+            target=destination,
+        )
 
     def validate_after_preemption(
         self, target: Instance, request: "Request", victims: list[Instance]
     ) -> bool:
         """Would ``target`` absorb ``request`` once ``victims`` are gone?"""
+        system = self.system
+        assert system is not None
         orch = self._orch(target)
         average_out = self.estimator.average(target.deployment)
         require = kv_required_bytes(target, average_out, extra_requests=[request])
@@ -399,7 +377,14 @@ class SlinferPlacement(PlacementPolicy):
         if planned < require:
             if orch.optimistic_free() + freed < require - planned:
                 return False
-        return self._shadow_ok(target, request, exclude={v.inst_id for v in victims})
+        return self._compute_admits(
+            request,
+            system.executor_for(target),
+            self._perf_of(target),
+            _join_grace(target, request),
+            target=target,
+            exclude={victim.inst_id for victim in victims},
+        )
 
     # ------------------------------------------------------------------
     # Proactive preemption (§VIII-A)
@@ -540,10 +525,17 @@ class SlinferPlacement(PlacementPolicy):
             # dedicated route), plus the KV-pool allocation.
             load_estimate = topology.estimate_load_seconds(node.node_id, weights)
             load_estimate += kv_scaling_seconds(0, kv_target, 0)
-            if not self._shadow_ok_new_instance(node, deployment, request, load_estimate):
+            executor = self._node_executor[node.node_id]
+            perf = system.perf.quantified(node.spec, model, 1.0, deployment.tp_degree)
+            if not self._compute_admits(
+                request,
+                executor,
+                perf,
+                max(request.grace, load_estimate),
+                ready_at=system.sim.now + load_estimate,
+            ):
                 continue
             instance = system.make_instance(deployment, node)
-            executor = self._node_executor[node.node_id]
             system.attach(instance, executor)
             duration = orch.admit_instance(instance, kv_target)
             if instance.load_ready_at <= system.sim.now:
@@ -555,29 +547,6 @@ class SlinferPlacement(PlacementPolicy):
             system.dispatch(request, instance)
             return True
         return False
-
-    def _shadow_ok_new_instance(
-        self, node: "Node", deployment: "Deployment", request: "Request", load_estimate: float
-    ) -> bool:
-        system = self.system
-        assert system is not None
-        executor = self._node_executor[node.node_id]
-        if not self._shadow_precheck(
-            executor,
-            request,
-            extra_batch=0,
-            extra_model=deployment.model,
-            extra_fraction=1.0,
-            extra_tp=deployment.tp_degree,
-        ):
-            return False
-        shadows = [self._shadow_instance(other) for other in executor.active_instances()]
-        perf = system.perf.quantified(node.spec, deployment.model, 1.0, deployment.tp_degree)
-        grace = max(request.grace, load_estimate)
-        virtual = ShadowInstance(perf=perf, ready_at=system.sim.now + load_estimate)
-        virtual.admit(request, grace)
-        shadows.append(virtual)
-        return self._run_shadow(executor, shadows) is ShadowVerdict.PASS
 
     # ------------------------------------------------------------------
     # Memory-driven behaviour during serving (event-bus subscribers)
@@ -752,6 +721,14 @@ class SlinferPlacement(PlacementPolicy):
             system.publish(NodeUnloaded(partner.node_id, system.sim.now))
         system.detach(instance)
         system.capacity_changed()
+
+
+def _join_grace(instance: Instance, request: "Request") -> float:
+    """The grace ``request`` gets joining an existing replica: its own,
+    widened to the replica's cold start while it is LOADING."""
+    if instance.state is InstanceState.LOADING:
+        return max(request.grace, instance.load_ready_at - request.arrival)
+    return request.grace
 
 
 class _WatermarkCheck(DecodeChainHandler):

@@ -190,6 +190,28 @@ class _ExecChain:
     __slots__ = ("executor", "states", "pending", "handle", "lat", "alive", "handlers")
 
 
+def _quiet_budget(instance, reqs, handlers) -> int:
+    """Steps a chain may take: one short of the earliest completion (the
+    completing iteration runs scalar), clipped by every handler's quiet
+    steps (e.g. the watermark check staying a no-op)."""
+    cap = min(r.output_len - r.tokens_out for r in reqs) - 1
+    for handler in handlers:
+        if cap <= 0:
+            break
+        cap = handler.quiet_steps(instance, cap)
+    return cap
+
+
+def _decode_args(executor, st: _InstState) -> tuple:
+    """Reference-shaped args of ``st``'s decode-finish event.
+
+    ``WorkItem.urgency`` is only ever read during work selection, never
+    after scheduling, so its placeholder is unobservable.
+    """
+    item = WorkItem(instance=st.instance, kind=WorkKind.DECODE, request=None, urgency=0.0)
+    return (executor, item, st.B)
+
+
 @ENGINES.register("vectorized")
 class VectorizedEngine(EngineBackend):
     """Batched decode-iteration backend (byte-identical to reference)."""
@@ -426,13 +448,7 @@ class VectorizedEngine(EngineBackend):
         return c, float(path[c])
 
     def _detach(self, chain, handle, best) -> None:
-        # WorkItem.urgency is only ever read during work selection,
-        # never after scheduling — a placeholder is unobservable.
-        handle.args = (
-            chain.executor,
-            WorkItem(instance=best.instance, kind=WorkKind.DECODE, request=None, urgency=0.0),
-            best.B,
-        )
+        handle.args = _decode_args(chain.executor, best)
         handle.chain = None
         self._flush_chain(chain)
         chain.alive = False
@@ -471,10 +487,10 @@ class VectorizedEngine(EngineBackend):
         ``handle`` was popped at ``sim.now`` and is the iteration
         finish of ``handle.args``'s work item (args are authoritative:
         either the reference kick built them or a flush restored them).
-        A handle still pointing at a flushed-out chain tries a *resume*
-        first: if nothing observable changed, the dead chain's
-        precomputed tables are revived with fresh budgets instead of
-        being rebuilt.
+        A resume is tried first, of the flushed-out chain the handle
+        still points at or, for a fresh candidate, of the executor's
+        parked chain: if nothing observable changed, its precomputed
+        tables are revived with fresh budgets instead of being rebuilt.
         """
         handlers = self._classify()
         if handlers is None:
@@ -491,17 +507,11 @@ class VectorizedEngine(EngineBackend):
         for inst in runnable:
             if inst.prefill_pending or not inst.batch:
                 return None
-        dead = handle.chain
-        if dead is not _CANDIDATE:
-            chain = self._resume(dead, handle, runnable, instance, batch_size, handlers)
+        prior = handle.chain if handle.chain is not _CANDIDATE else self._parked.get(executor)
+        if prior is not None:
+            chain = self._resume(prior, handle, runnable, instance, batch_size, handlers)
             if chain is not None:
                 return chain
-        else:
-            parked = self._parked.get(executor)
-            if parked is not None:
-                chain = self._resume(parked, handle, runnable, instance, batch_size, handlers)
-                if chain is not None:
-                    return chain
         perf = system.perf
         states: list[_InstState] = []
         pending = None
@@ -577,12 +587,7 @@ class VectorizedEngine(EngineBackend):
                     # restore the len > k invariant here (the burst loop
                     # only back-fills the pending state).
                     self._fill_tables(st, st.k + 1)
-            cap = min(r.output_len - r.tokens_out for r in st.reqs) - 1
-            for handler in handlers:
-                if cap <= 0:
-                    break
-                cap = handler.quiet_steps(st.instance, cap)
-            st.budget = st.k + cap
+            st.budget = st.k + _quiet_budget(st.instance, st.reqs, handlers)
         if pending.budget <= pending.k:
             return None
         return self._arm(states, pending, dead.executor, handle, handlers)
@@ -622,15 +627,7 @@ class VectorizedEngine(EngineBackend):
         st.mul = kernel.slowdown
         st.den = kernel.denom
         st.S0 = sum(r.context_len for r in reqs)
-        # Token budget: stop one short of the earliest completion (the
-        # completing iteration runs scalar), clipped by every handler's
-        # quiet steps (e.g. the watermark check staying a no-op).
-        cap = min(r.output_len - r.tokens_out for r in reqs) - 1
-        for handler in handlers:
-            if cap <= 0:
-                break
-            cap = handler.quiet_steps(inst, cap)
-        st.budget = cap
+        st.budget = cap = _quiet_budget(inst, reqs, handlers)
         st.minD = array("d")
         st.A = array("d")
         self._fill_tables(st, min(max(cap, 0), _TABLE_SEED) + 1)
@@ -685,29 +682,18 @@ class VectorizedEngine(EngineBackend):
     # ------------------------------------------------------------------
     def _flush_all(self) -> None:
         for chain in self._live:
-            self._fix_handle(chain)
+            # The chain is dying (an external event fires next); its
+            # armed successor must be indistinguishable from one the
+            # reference kick scheduled.  ``handle.chain`` keeps pointing
+            # at the dead chain so the pop revalidates (and possibly
+            # re-chains) from the args; dropping the reverse edge leaves
+            # no cycle, so refcounting frees the chain once nothing
+            # resumes it.
+            chain.handle.args = _decode_args(chain.executor, chain.pending)
             self._flush_chain(chain)
             chain.alive = False
-            # The handle keeps pointing at the dead chain (see
-            # _fix_handle); dropping the reverse edge leaves no cycle,
-            # so refcounting frees the chain once nothing resumes it.
             chain.handle = None
         self._live.clear()
-
-    def _fix_handle(self, chain) -> None:
-        """Restore reference-shaped args on the in-flight armed handle.
-
-        The chain is dying (an external event fires next); its armed
-        successor must be indistinguishable from one the reference kick
-        scheduled.  ``handle.chain`` stays pointing at the dead chain so
-        the pop revalidates — and possibly re-chains — from the args.
-        """
-        st = chain.pending
-        chain.handle.args = (
-            chain.executor,
-            WorkItem(instance=st.instance, kind=WorkKind.DECODE, request=None, urgency=0.0),
-            st.B,
-        )
 
     def _flush_chain(self, chain) -> None:
         for st in chain.states:

@@ -38,16 +38,22 @@ def test_preemption_never_targets_larger_batches():
     arrivals = [("a", 0.5, 512, 200)] * 4 + [("b", 1.0, 512, 200)] * 2
     workload = tiny_workload(arrivals, duration=120.0)
     system = ServingSystem(Cluster.build(0, 1), policies="slinfer", config=_gpu_only())
-    system.run(workload, until=30.0)
+    # Mid-decode: both instances are ACTIVE on the one node, batches 4 and 2.
+    system.run(workload, until=4.0)
     instances = [
         inst
         for deployment in ("a", "b")
         for inst in system.instances_of(deployment)
         if inst.state is InstanceState.ACTIVE
     ]
+    assert len({inst.node.node_id for inst in instances}) == 1
+    assert len({inst.batch_size for inst in instances}) >= 2
+    checked = 0
     for instance in instances:
-        for victim in _victim_candidates(system, instance):
+        for victim in _victim_candidates(system.policies.placement, instance):
             assert victim.batch_size < instance.batch_size
+            checked += 1
+    assert checked >= 1
 
 
 def test_consolidation_disabled_never_preempts():
