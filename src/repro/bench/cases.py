@@ -10,8 +10,9 @@ Two suites, written to two trajectory files:
   ``core-loop`` spec under bounded-memory collection plus raw sketch
   ingest — ``metrics-streaming`` / ``metrics-sketch-insert``), the
   vectorized engine backend on a decode-dominated run
-  (``engine-vectorized``), and the prefix-sharing block map on the
-  shared-sysprompt workload (``prefix-share``).
+  (``engine-vectorized``), the prefix-sharing block map on the
+  shared-sysprompt workload (``prefix-share``), and shadow validation
+  under a bursty overload (``shadow-spike``).
 * **scenarios** (``BENCH_scenarios.json``) — every registered workload
   scenario executed end-to-end at the configured scale, so opening a new
   workload automatically extends the measured trajectory.
@@ -232,6 +233,24 @@ def _prefix_share(config: BenchConfig) -> int:
     return execute_spec(spec).report.events_processed
 
 
+def _shadow_spike(config: BenchConfig) -> int:
+    """Shadow validation (§VI-C) under a bursty overload.
+
+    ``bursty-spike`` overloads eight models on two CPU and two GPU nodes,
+    so queued requests retry placement and every attempt simulates the
+    node's future before it is accepted: this case times that layer on
+    top of the serving loop."""
+    spec = RunSpec(
+        system="slinfer",
+        scenario="bursty-spike",
+        n_models=8,
+        cluster="cpu2-gpu2",
+        seed=1,
+        scale=config.scale,
+    )
+    return execute_spec(spec).report.events_processed
+
+
 def _streaming_footprint_meta(config: BenchConfig) -> dict[str, int]:
     """Bounded-footprint evidence recorded next to the timing numbers.
 
@@ -337,6 +356,7 @@ CORE_CASES: dict[str, Callable[[BenchConfig], int]] = {
     "engine-vectorized": _engine_vectorized,
     "prefix-share": _prefix_share,
     "federation-sharded": _federation_sharded,
+    "shadow-spike": _shadow_spike,
 }
 
 #: untimed per-case annotations attached to the written report

@@ -18,6 +18,11 @@ Each candidate instance is captured once, straight from the live instance,
 by :meth:`ShadowInstance.snapshot` (the new request is queued with
 :meth:`ShadowInstance.admit`); ``shadow_validate`` then advances those
 snapshots in place, so a snapshot serves exactly one validation.
+
+A virtual decode step costs O(1), not one update per batch member: each
+instance tabulates its members' Eq. 1 deadline minima per decode step with
+:func:`~repro.engine.request.deadline_minima`, the same helper the
+vectorized engine's step tables use (see :class:`ShadowInstance`).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.engine.instance import InstanceState
+from repro.engine.request import _TABLE_SEED, deadline_minima
 from repro.perf.profiler import QuantifiedPerf
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,20 +68,67 @@ class ShadowRequest:
     soft: bool = False
 
 
+class _Members:
+    """One member group of a shadow batch and its deadline-minima table.
+
+    ``base``/``slo``/``tok0`` are each member's deadline base, TPOT SLO
+    and token count as of decode step 0 of its instance (``tok0 = tokens
+    − steps`` at join), so after ``k`` virtual decode steps member ``i``
+    has ``tok0[i] + k`` tokens out.  ``minima[k]`` is the group's minimum
+    next-token deadline after ``k`` steps, ``inf`` while it is empty.
+    """
+
+    __slots__ = ("base", "slo", "tok0", "minima")
+
+    def __init__(self, base: list[float], slo: list[float], tok0: list[int]) -> None:
+        self.base = base
+        self.slo = slo
+        self.tok0 = tok0
+        self.minima = deadline_minima(base, slo, tok0, 0, _TABLE_SEED)
+
+    def extend(self, size: int) -> None:
+        """Grow the table to ``size`` entries from every member."""
+        self.minima += deadline_minima(self.base, self.slo, self.tok0, len(self.minima), size)
+
+    def add(self, base: float, slo: float, tok0: int, steps: int) -> None:
+        """Add one member, merging its row into the entries from ``steps`` on."""
+        self.base.append(base)
+        self.slo.append(slo)
+        self.tok0.append(tok0)
+        minima = self.minima
+        row = deadline_minima((base,), (slo,), (tok0,), steps, len(minima))
+        minima[steps:] = [d if d < m else m for m, d in zip(minima[steps:], row)]
+
+
 class ShadowInstance:
     """One instance's virtual state, advanced in place by ``shadow_validate``.
 
-    Pending prefills are a list read through an index cursor (``head``);
-    the decode batch is kept as parallel scalar lists (deadline bases,
-    TPOT SLOs, token counts, soft flags) so the hot loop touches no
-    per-request objects.  Two quantities the loop re-derives constantly
-    are cached: the batch's minimum deadline (only the stepped instance's
-    changes per round) and its decode estimate.
+    Pending prefills are a list read through an index cursor (``head``).
+    The decode batch is two member groups (:class:`_Members`): ``hard``
+    holds the live batch and every prefill absorbed into it, ``soft`` the
+    mid-stream request being admitted, whose own lateness vetoes nothing.
+    ``steps`` counts the virtual decode steps taken, and each group keeps
+    a table of its Eq. 1 deadline minima per step, 8 entries to start and
+    doubling as the steps reach its end.  A decode step is then three
+    table reads and no per-member loop: case 2 if ``hard[steps] − time <
+    0``, ``steps += 1``, ``min_deadline = min(hard[steps], soft[steps])``.
+    A join merges the new member's row into the table entries not yet
+    stepped past.
+
+    This reproduces the per-member scan bit for bit.  ``tok0 + k`` is an
+    exact integer, and its exact float64 conversion followed by a separate
+    NumPy multiply and add rounds exactly like Python's ``b + s*t``;
+    ``min`` does not depend on evaluation order; and ``x ↦ x − time`` is
+    monotone under rounding, so "some hard member is late" holds exactly
+    when "the hard minimum is late".
+
+    The batch's decode estimate is cached as well: per round, only the
+    stepped or joined instance's estimate changes.
     """
 
     __slots__ = (
         "perf", "ready_at", "prefill_queue", "head",
-        "base", "slo", "tok", "soft",
+        "steps", "hard", "soft",
         "B", "ctx_sum", "min_deadline", "estimate", "settle",
     )
 
@@ -84,16 +137,14 @@ class ShadowInstance:
         self.ready_at = ready_at  # cold-start completion for LOADING instances
         self.prefill_queue: list[ShadowRequest] = []
         self.head = 0
-        self.base: list[float] = []
-        self.slo: list[float] = []
-        self.tok: list[int] = []
-        self.soft: list[bool] = []
+        self.steps = 0
+        self.hard = _Members([], [], [])
+        self.soft = _Members([], [], [])
         self.B = 0
         self.ctx_sum = 0
-        # min over members of (base + slo * tok), each member's Eq. 1
-        # next-token deadline.  Headroom comparisons use
-        # (min_deadline - now), which equals the minimum headroom because
-        # x -> x - now is monotone under rounding.
+        # min over members of their Eq. 1 next-token deadline.  Headroom
+        # comparisons use (min_deadline - now), which equals the minimum
+        # headroom because x -> x - now is monotone under rounding.
         self.min_deadline = float("inf")
         # None marks the cached decode estimate dirty; an empty batch's
         # estimate is 0.0 forever (shadow batches never shrink).
@@ -111,8 +162,17 @@ class ShadowInstance:
             ShadowRequest(r.deadline_base, r.tpot_slo, r.tokens_out, r.context_len, r.prefill_len)
             for r in instance.prefill_pending
         ]
-        for r in instance.batch:
-            shadow.join(r.deadline_base, r.tpot_slo, r.tokens_out, r.context_len)
+        batch = instance.batch
+        if batch:
+            shadow.hard = hard = _Members(
+                [r.deadline_base for r in batch],
+                [r.tpot_slo for r in batch],
+                [r.tokens_out for r in batch],
+            )
+            shadow.B = len(batch)
+            shadow.ctx_sum = sum(r.context_len for r in batch)
+            shadow.min_deadline = hard.minima[0]
+            shadow.estimate = None
         return shadow
 
     def admit(self, request: Request, grace: float) -> None:
@@ -131,16 +191,11 @@ class ShadowInstance:
 
     def join(self, base: float, slo: float, tok: int, context: int, soft: bool = False) -> None:
         """Add one member (deadline base, TPOT SLO, tokens out, context) to the batch."""
-        self.base.append(base)
-        self.slo.append(slo)
-        self.tok.append(tok)
-        self.soft.append(soft)
+        steps = self.steps
+        (self.soft if soft else self.hard).add(base, slo, tok - steps, steps)
         self.B += 1
         self.ctx_sum += context
-        # Existing members' deadlines are untouched by a join.
-        deadline = base + slo * tok
-        if deadline < self.min_deadline:
-            self.min_deadline = deadline
+        self.min_deadline = min(self.hard.minima[steps], self.soft.minima[steps])
         self.estimate = None
 
     def decode_estimate(self, overestimate: float) -> float:
@@ -251,26 +306,18 @@ def shadow_validate(
             if duration is None:
                 duration = best.decode_estimate(overestimate)
             time += duration
-            base = best.base
-            slo = best.slo
-            tok = best.tok
-            soft = best.soft
-            # One pass: violation check on the pre-increment token count,
-            # then the post-increment deadline (the minimum of the same
-            # terms a fresh scan would take — identical floats).
-            new_min = float("inf")
-            for i in range(best.B):
-                b = base[i]
-                s = slo[i]
-                t = tok[i]
-                if b + s * t - time < 0 and not soft[i]:
-                    return ShadowVerdict.EXISTING_DELAYED
-                t += 1
-                tok[i] = t
-                deadline = b + s * t
-                if deadline < new_min:
-                    new_min = deadline
-            best.min_deadline = new_min
+            # Case 2 on the pre-step token counts, then the post-step
+            # minimum deadline: table reads, see ShadowInstance.
+            steps = best.steps
+            hard = best.hard.minima
+            if hard[steps] - time < 0:
+                return ShadowVerdict.EXISTING_DELAYED
+            steps += 1
+            best.steps = steps
+            if steps == len(hard):
+                best.hard.extend(2 * steps)
+                best.soft.extend(2 * steps)
+            best.min_deadline = min(hard[steps], best.soft.minima[steps])
             best.ctx_sum += best.B
             best.estimate = None
             best.settle += 1

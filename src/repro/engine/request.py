@@ -14,9 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 #: slack of the per-token SLO-violation comparison (deadline + EPS)
 EPS = 1e-9
+
+#: step-table entries materialized up front (the engine's chain tables,
+#: the shadow's deadline minima); tables extend by doubling as a run
+#: actually needs more steps, so short runs pay for a handful of entries
+#: and long ones amortize.
+_TABLE_SEED = 8
+
+#: below this size (steps × members) step tables and the engine's flush
+#: run as plain Python loops: NumPy's per-call overhead beats the
+#: arithmetic for the tiny batches that dominate smoke-scale runs.  Both
+#: paths evaluate the same IEEE-754 expressions element for element.
+_VECTOR_MIN = 32
 
 
 class RequestState(Enum):
@@ -163,3 +178,38 @@ class Request:
             self.state is RequestState.COMPLETED
             and self.violation_at is None
         )
+
+
+def deadline_minima(
+    base: Sequence[float], tpot: Sequence[float], tok0: Sequence[int], start: int, stop: int
+) -> list[float]:
+    """Eq. 1 deadline minima of a group of requests, one per decode step.
+
+    Entry ``k - start`` is ``min_i(base_i + tpot_i·(tok0_i + k))`` for
+    ``k`` in ``[start, stop)``: the earliest next-token deadline after
+    ``k`` more tokens, where member ``i`` has ``tok0_i + k`` tokens out.
+    Each term is :attr:`Request.next_token_deadline`'s two float ops, so
+    either branch returns the same floats: ``tok0_i + k`` is an exact
+    integer (also as a float64 sum, far below 2**53), converting it to
+    float64 is exact, and a separate NumPy multiply and add round exactly
+    like Python's ``b + s*t``; the minimum does not depend on evaluation
+    order.  An empty group's minima are ``inf``.
+    """
+    members = len(base)
+    if not members:
+        return [float("inf")] * (stop - start)
+    if (stop - start) * members >= _VECTOR_MIN:
+        b, s, t = np.array((base, tpot, tok0), dtype=np.float64).reshape(3, members, 1)
+        mat = np.arange(start, stop, dtype=np.float64) + t
+        mat *= s
+        mat += b
+        return mat.min(axis=0).tolist()
+    minima = []
+    for k in range(start, stop):
+        m = base[0] + tpot[0] * (tok0[0] + k)
+        for i in range(1, members):
+            d = base[i] + tpot[i] * (tok0[i] + k)
+            if d < m:
+                m = d
+        minima.append(m)
+    return minima

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from repro.compute.scheduler import WorkItem, WorkKind
-from repro.engine.request import EPS
+from repro.engine.request import _TABLE_SEED, _VECTOR_MIN, EPS, deadline_minima
 from repro.policies.base import WorkSelectionPolicy
 from repro.policies.events import DecodeChainHandler, IterationFinished
 from repro.registries import Registry
@@ -67,17 +67,6 @@ ENGINES: Registry[type] = Registry("engine")
 
 #: backend used when neither the caller nor ``REPRO_ENGINE`` picks one
 DEFAULT_ENGINE = "vectorized"
-
-#: step-table entries materialized up front per chain state; tables
-#: extend by doubling (up to the budget) as a chain actually runs, so
-#: short chains pay for a handful of entries and long ones amortize.
-_TABLE_SEED = 8
-
-#: below this table size (steps × batch) the per-state precompute and
-#: the flush run as plain Python loops: NumPy's per-call overhead beats
-#: the arithmetic for the tiny batches that dominate smoke-scale runs.
-#: Both paths evaluate the same IEEE-754 expressions element-for-element.
-_VECTOR_MIN = 32
 
 #: minimum estimated step count before a single-state chain burst is
 #: resolved as one batched cumsum instead of scalar iteration (a NumPy
@@ -638,11 +627,11 @@ class VectorizedEngine(EngineBackend):
 
         Appends k = len(A)..n-1 of the batched decode-law / selection-
         deadline evaluation.  Both branches compute the identical
-        IEEE-754 expressions —
-          A[k]    = ((Pb + Qb·avg_k)·mul)/den,  avg_k = (S0 + k·B)/B
-          minD[k] = min_i(base_i + tpot_i·(tok0_i + k))
-        matching decode_seconds' hoisted coefficients and the
-        scheduler's next_token_deadline minimum term-for-term.
+        IEEE-754 expression
+          A[k] = ((Pb + Qb·avg_k)·mul)/den,  avg_k = (S0 + k·B)/B
+        matching decode_seconds' hoisted coefficients term for term;
+        minD[k] is the scheduler's next_token_deadline minimum, from
+        :func:`~repro.engine.request.deadline_minima`.
         """
         start = len(st.A)
         if n <= start:
@@ -653,29 +642,15 @@ class VectorizedEngine(EngineBackend):
         mul = st.mul
         den = st.den
         S0 = st.S0
-        base = st.base
-        tpot = st.tpot
-        tok0 = st.tok0
         if (n - start) * B >= _VECTOR_MIN:
-            ks = np.arange(start, n)
-            avg = (S0 + ks * B) / B
+            avg = (S0 + np.arange(start, n) * B) / B
             st.A.frombytes(((Pb + Qb * avg) * mul / den).tobytes())
-            mat = np.asarray(base)[:, None] + np.asarray(tpot)[:, None] * (
-                np.asarray(tok0, dtype=np.int64)[:, None] + ks
-            )
-            st.minD.frombytes(mat.min(axis=0).tobytes())
         else:
             A = st.A
-            minD = st.minD
             for k in range(start, n):
                 avg = (S0 + k * B) / B
                 A.append((Pb + Qb * avg) * mul / den)
-                m = base[0] + tpot[0] * (tok0[0] + k)
-                for i in range(1, B):
-                    d = base[i] + tpot[i] * (tok0[i] + k)
-                    if d < m:
-                        m = d
-                minD.append(m)
+        st.minD.fromlist(deadline_minima(st.base, st.tpot, st.tok0, start, n))
 
     # ------------------------------------------------------------------
     # Flush: deferred effects, applied before any scalar observer

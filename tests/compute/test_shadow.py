@@ -238,10 +238,14 @@ def test_snapshot_matches_explicit_eq1_arithmetic(instance, new, grace, now):
     expected = _hand_built(instance)
     assert snapshot.ready_at == expected.ready_at
     assert snapshot.prefill_queue == expected.prefill_queue
-    assert snapshot.base == expected.base
-    assert snapshot.slo == expected.slo
-    assert snapshot.tok == expected.tok
-    assert snapshot.soft == expected.soft
+    assert snapshot.steps == expected.steps == 0
+    for got, want in ((snapshot.hard, expected.hard), (snapshot.soft, expected.soft)):
+        assert got.base == want.base
+        assert got.slo == want.slo
+        assert got.tok0 == want.tok0
+        assert got.minima == want.minima
+    assert snapshot.hard.tok0 == [r.tokens_out for r in instance.batch]
+    assert snapshot.soft.base == []
     assert snapshot.B == expected.B == len(instance.batch)
     assert snapshot.ctx_sum == expected.ctx_sum
     assert snapshot.min_deadline == expected.min_deadline
