@@ -27,9 +27,9 @@ def _slo_met(cells, system, n_models):
 
 
 @pytest.mark.parametrize("size", ["3B", "7B", "13B"])
-def test_fig22_end_to_end(run_once, size):
+def test_fig22_end_to_end(run_once, sweep, size):
     counts = grid((32, 64, 128), (32, 128))
-    cells = run_once(run_fig22, size=size, counts=counts)
+    cells = run_once(run_fig22, size=size, counts=counts, executor=sweep)
     _print_cells(cells)
 
     top = max(counts)

@@ -3,8 +3,8 @@
 from repro.experiments import run_ablation
 
 
-def test_fig23_ablation(run_once):
-    results = run_once(run_ablation)
+def test_fig23_ablation(run_once, sweep):
+    results = run_once(run_ablation, executor=sweep)
     print("\nFig. 23: ablation at 64 7B models")
     for label, report in results.items():
         print(

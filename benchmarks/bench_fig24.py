@@ -5,9 +5,9 @@ from conftest import grid
 from repro.experiments import run_cpu_scalability
 
 
-def test_fig24_cpu_scalability(run_once):
+def test_fig24_cpu_scalability(run_once, sweep):
     max_added = grid(8, 4)
-    points = run_once(run_cpu_scalability, max_added=max_added)
+    points = run_once(run_cpu_scalability, max_added=max_added, executor=sweep)
     print("\nFig. 24: SLO-met requests vs added nodes (base: 2 GPUs)")
     for point in points:
         print(

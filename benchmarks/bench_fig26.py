@@ -6,9 +6,9 @@ from repro.experiments import run_mixed_deployment
 from repro.experiments.heterogeneity import POPULARITY_RATIOS
 
 
-def test_fig26_mixed_deployment(run_once):
+def test_fig26_mixed_deployment(run_once, sweep):
     ratios = grid(POPULARITY_RATIOS, ((4, 1, 1, 1), (1, 1, 4, 1), (0, 0, 0, 1)))
-    results = run_once(run_mixed_deployment, ratios=ratios)
+    results = run_once(run_mixed_deployment, ratios=ratios, executor=sweep)
     print("\nFig. 26: GPUs used under mixed model-size popularity (4 CPU + 6 GPU)")
     for result in results:
         print(

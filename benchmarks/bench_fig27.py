@@ -5,9 +5,9 @@ from conftest import grid
 from repro.experiments import run_burstgpt_loads
 
 
-def test_fig27_burstgpt(run_once):
+def test_fig27_burstgpt(run_once, sweep):
     rps_levels = grid((0.5, 1.0, 2.0, 4.0), (0.5, 4.0))
-    points = run_once(run_burstgpt_loads, rps_levels=rps_levels)
+    points = run_once(run_burstgpt_loads, rps_levels=rps_levels, executor=sweep)
     print("\nFig. 27: BurstGPT resource usage by load level")
     for point in points:
         print(

@@ -15,9 +15,9 @@ def test_fig28_colocation_usage(run_once):
     assert rows[-1][1] < 1.6
 
 
-def test_fig29_harvested_cores(run_once):
+def test_fig29_harvested_cores(run_once, sweep):
     core_counts = grid((0, 8, 16, 32), (0, 32))
-    points = run_once(run_harvested_cores, core_counts=core_counts)
+    points = run_once(run_harvested_cores, core_counts=core_counts, executor=sweep)
     print("\nFig. 29: SLO-miss rate vs harvested cores per GPU")
     for point in points:
         print(

@@ -5,9 +5,9 @@ from conftest import grid
 from repro.experiments import run_keepalive_sweep
 
 
-def test_fig30_keepalive(run_once):
+def test_fig30_keepalive(run_once, sweep):
     thresholds = grid((0.0, 1.0, 2.0, 4.0, 8.0), (0.0, 1.0, 8.0))
-    points = run_once(run_keepalive_sweep, thresholds=thresholds)
+    points = run_once(run_keepalive_sweep, thresholds=thresholds, executor=sweep)
     print("\nFig. 30: GPUs used and P95 TTFT vs keep-alive threshold")
     for point in points:
         print(

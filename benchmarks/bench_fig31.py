@@ -5,9 +5,9 @@ from conftest import grid
 from repro.experiments import run_watermark_sweep
 
 
-def test_fig31_watermark(run_once):
+def test_fig31_watermark(run_once, sweep):
     watermarks = grid((0.0, 0.10, 0.25, 0.50, 1.00), (0.0, 0.25, 1.00))
-    points = run_once(run_watermark_sweep, watermarks=watermarks)
+    points = run_once(run_watermark_sweep, watermarks=watermarks, executor=sweep)
     print("\nFig. 31: KV utilization and scaling overhead vs watermark")
     for point in points:
         print(

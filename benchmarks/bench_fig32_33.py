@@ -5,9 +5,9 @@ from conftest import grid
 from repro.experiments import run_node_scaling, run_scheduling_overhead
 
 
-def test_fig32_node_scaling(run_once):
+def test_fig32_node_scaling(run_once, sweep):
     node_pairs = grid((1, 2, 3, 4), (1, 4))
-    points = run_once(run_node_scaling, node_pairs=node_pairs)
+    points = run_once(run_node_scaling, node_pairs=node_pairs, executor=sweep)
     print("\nFig. 32: SLO-met requests vs cluster size")
     for point in points:
         print(f"  {point.total_nodes} nodes {point.system:9s} {point.slo_met}/{point.total}")
@@ -25,9 +25,9 @@ def test_fig32_node_scaling(run_once):
     assert met(large, "slinfer") > met(small, "slinfer")
 
 
-def test_fig33_scheduling_overhead(run_once):
+def test_fig33_scheduling_overhead(run_once, sweep):
     node_pairs = grid((1, 2, 3, 4), (1, 4))
-    points = run_once(run_scheduling_overhead, node_pairs=node_pairs)
+    points = run_once(run_scheduling_overhead, node_pairs=node_pairs, executor=sweep)
     print("\nFig. 33: measured scheduling overhead of this implementation")
     for point in points:
         print(

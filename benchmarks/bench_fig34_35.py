@@ -31,12 +31,12 @@ def test_fig34_dataset_characterization(run_once):
     assert stats["humaneval"][0] < stats["azure-conversation"][0]
 
 
-def test_fig35_dataset_sweep(run_once):
+def test_fig35_dataset_sweep(run_once, sweep):
     names = grid(
         ("humaneval", "azure-code", "azure-conversation", "longbench", "sharegpt"),
         ("azure-conversation", "longbench", "sharegpt"),
     )
-    results = run_once(run_dataset_sweep, dataset_names=names)
+    results = run_once(run_dataset_sweep, dataset_names=names, executor=sweep)
     print("\nFig. 35: per-dataset evaluation, 64 8B models")
     for result in results:
         print(

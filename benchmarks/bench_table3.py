@@ -5,9 +5,9 @@ from conftest import grid
 from repro.experiments import run_pd_table
 
 
-def test_table3_pd_disaggregation(run_once):
+def test_table3_pd_disaggregation(run_once, sweep):
     counts = grid((32, 64, 128), (32, 128))
-    rows = run_once(run_pd_table, counts=counts)
+    rows = run_once(run_pd_table, counts=counts, executor=sweep)
     print("\nTable III: aggregated / disaggregated PD")
     print("    system      x#   GPU agg/dis    SLO agg/dis")
     for row in rows:

@@ -10,7 +10,7 @@ configuration seam (:class:`repro.bench.BenchConfig`), which resolves
 ``REPRO_SCALE`` / ``REPRO_WORKERS`` through the runner exactly once:
 ``REPRO_SCALE=full`` replays the paper's 30-minute traces; the default
 ``quick`` replays rate-preserving 10-minute slices.  ``REPRO_WORKERS``
-sets the worker-pool size for the ``sweep`` fixture.
+sets the worker-pool size for the session's ``sweep`` fixture.
 """
 
 from __future__ import annotations
@@ -46,14 +46,16 @@ def run_once(benchmark):
     return _run
 
 
-@pytest.fixture
-def sweep(tmp_path, bench_config):
-    """A SweepExecutor with a per-test result cache.
+@pytest.fixture(scope="session")
+def sweep(tmp_path_factory, bench_config):
+    """One SweepExecutor, with one result cache, for the whole session.
 
-    Benchmarks that fan a RunSpec grid out (instead of calling an
-    experiment runner directly) use this to pick up ``REPRO_WORKERS``
-    parallelism for free:  ``results = sweep.run(expand_grid(...))``.
+    Every figure check passes it to its experiment runner as
+    ``executor=``, so ``REPRO_WORKERS`` parallelizes each grid and a run
+    that several figures share (Table III's aggregated runs are Fig. 22's;
+    Fig. 33's are Fig. 32's) is simulated once.
     """
     return SweepExecutor(
-        workers=bench_config.workers, cache=ResultCache(tmp_path / "repro-cache")
+        workers=bench_config.workers,
+        cache=ResultCache(tmp_path_factory.mktemp("repro-cache")),
     )

@@ -53,6 +53,7 @@ from repro.registry import (
     build_cluster,
     resolve_federation,
     resolve_scenario,
+    system_factory,
 )
 from repro.runner import (
     ResultCache,
@@ -96,7 +97,7 @@ def _validate_names(
 ) -> None:
     """Fail fast (before any simulation) on unknown registry names."""
     for name in systems:
-        SYSTEMS.get(name)
+        system_factory(name)
     for name in scenarios:
         resolve_scenario(name)
     for name in clusters:

@@ -5,14 +5,24 @@ benchmark harness (``benchmarks/bench_*.py``) prints.  Scale is controlled
 by the ``REPRO_SCALE`` environment variable: ``full`` replays the paper's
 30-minute traces; the default replays proportionally thinned 10-minute
 segments so the whole suite finishes quickly.
+
+Every runner that simulates a serving system is a :class:`~repro.runner.RunSpec`
+grid.  It builds one spec per row from registered names only (systems,
+scenarios, clusters, and the ``config`` axis for SLINFER settings), runs
+the list through a :class:`~repro.runner.SweepExecutor`, and maps the
+results back to its rows.  Each such runner takes an optional
+``executor=``; the default one honours ``REPRO_WORKERS``.  Passing one
+executor with a result cache to several runners simulates a spec they
+share only once, e.g. Table III's aggregated runs are Fig. 22's.
+
+Two runners stay hand-built, because their traces have no registered
+name: Fig. 25 (:func:`run_gpu_efficiency`) replays the 3B:7B:13B mix at
+twice the standard request rate, and §X (:func:`run_quantization_comparison`)
+serves an INT4 Codestral-22B that is not in the model catalog.  They are
+5 runs with no duplicate, so a scenario parameter or a model-name
+grammar just to port them would add more than it removes.
 """
 
-from repro.experiments.common import (
-    ExperimentScale,
-    current_scale,
-    make_azure_workload,
-    systems_named,
-)
 from repro.experiments.discussion import run_quantization_comparison
 from repro.experiments.render import render_fig22, render_reports, render_table2
 from repro.experiments.e2e import run_ablation, run_fig22, run_pd_table
@@ -40,9 +50,6 @@ from repro.experiments.sensitivity import (
 from repro.experiments.tables import run_table1, run_table2
 
 __all__ = [
-    "ExperimentScale",
-    "current_scale",
-    "make_azure_workload",
     "run_ablation",
     "run_burstgpt_loads",
     "run_cpu_scalability",
@@ -68,5 +75,4 @@ __all__ = [
     "render_fig22",
     "render_reports",
     "render_table2",
-    "systems_named",
 ]

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentScale, current_scale
-from repro.registry import system_factory
 from repro.hardware.cluster import Cluster
 from repro.metrics.report import RunReport
 from repro.models.catalog import CODESTRAL_22B, Quantization
+from repro.registry import system_factory
+from repro.runner import ExperimentScale, current_scale
 from repro.workloads.azure_serverless import (
     AzureServerlessConfig,
     replica_models,

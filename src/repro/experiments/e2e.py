@@ -4,17 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import SlinferConfig
-from repro.experiments.common import (
-    ExperimentScale,
-    current_scale,
-    make_azure_workload,
-)
-from repro.registry import STANDARD_SYSTEMS, system_factory
-from repro.runner import RunSpec, SweepExecutor
-from repro.hardware.cluster import paper_testbed
 from repro.metrics.report import RunReport
 from repro.models.catalog import LLAMA2_13B, LLAMA2_7B, LLAMA32_3B, ModelSpec
+from repro.registry import STANDARD_SYSTEMS
+from repro.runner import ExperimentScale, RunSpec, SweepExecutor, current_scale
 
 SIZE_MODELS: dict[str, ModelSpec] = {
     "3B": LLAMA32_3B,
@@ -41,32 +34,17 @@ def run_fig22(
     systems: tuple[str, ...] | None = None,
     scale: ExperimentScale | None = None,
     seed: int = 1,
-    workers: int | None = None,
+    executor: SweepExecutor | None = None,
 ) -> list[E2ECell]:
-    """One panel of Fig. 22 (a/b/c by model size).
-
-    The (count × system) grid goes through the sweep executor, so
-    ``REPRO_WORKERS`` (or ``workers=``) parallelizes the panel across
-    processes with results identical to a sequential run.
-    """
-    model = SIZE_MODELS[size]
-    scale = scale or current_scale()
+    """One panel of Fig. 22 (a/b/c by model size): a (count × system) grid."""
+    window = (scale or current_scale()).spec_axes()
+    model = SIZE_MODELS[size].name
     names = list(systems) if systems is not None else list(STANDARD_SYSTEMS)
     specs = [
-        RunSpec(
-            system=name,
-            scenario="azure",
-            model=model.name,
-            n_models=n_models,
-            cluster="paper",
-            seed=seed,
-            scale=scale.label,
-            duration=scale.duration,
-        )
+        RunSpec(system=name, model=model, n_models=n_models, seed=seed, **window)
         for n_models in counts
         for name in names
     ]
-    results = SweepExecutor(workers=workers).run(specs)
     return [
         E2ECell(
             system=result.spec.system,
@@ -74,7 +52,7 @@ def run_fig22(
             n_models=result.spec.n_models,
             report=result.report,
         )
-        for result in results
+        for result in (executor or SweepExecutor()).run(specs)
     ]
 
 
@@ -94,15 +72,18 @@ def run_ablation(
     size: str = "7B",
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> dict[str, RunReport]:
-    scale = scale or current_scale()
-    workload = make_azure_workload(SIZE_MODELS[size], n_models, scale, seed=seed)
-    slinfer = system_factory("slinfer")
-    results = {}
-    for label, overrides in ABLATIONS.items():
-        config = SlinferConfig(**overrides)
-        results[label] = slinfer(paper_testbed(), config=config).run(workload)
-    return results
+    window = (scale or current_scale()).spec_axes()
+    model = SIZE_MODELS[size].name
+    specs = [
+        RunSpec(
+            system="slinfer", model=model, n_models=n_models, seed=seed, config=overrides, **window
+        )
+        for overrides in ABLATIONS.values()
+    ]
+    results = (executor or SweepExecutor()).run(specs)
+    return {label: result.report for label, result in zip(ABLATIONS, results)}
 
 
 # ----------------------------------------------------------------------
@@ -129,18 +110,26 @@ def run_pd_table(
     counts: tuple[int, ...] = (32, 64, 128),
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[PdRow]:
-    scale = scale or current_scale()
-    rows = []
-    for n_models in counts:
-        workload = make_azure_workload(LLAMA2_7B, n_models, scale, seed=seed)
-        for system, pd_system in (("sllm+c+s", "pd-sllm"), ("slinfer", "pd-slinfer")):
-            rows.append(
-                PdRow(
-                    system=system,
-                    n_models=n_models,
-                    aggregated=system_factory(system)(paper_testbed()).run(workload),
-                    disaggregated=system_factory(pd_system)(paper_testbed()).run(workload),
-                )
-            )
-    return rows
+    window = (scale or current_scale()).spec_axes()
+    pairs = [
+        (n_models, system, pd_system)
+        for n_models in counts
+        for system, pd_system in (("sllm+c+s", "pd-sllm"), ("slinfer", "pd-slinfer"))
+    ]
+    specs = [
+        RunSpec(system=name, n_models=n_models, seed=seed, **window)
+        for n_models, system, pd_system in pairs
+        for name in (system, pd_system)
+    ]
+    results = (executor or SweepExecutor()).run(specs)
+    return [
+        PdRow(
+            system=system,
+            n_models=n_models,
+            aggregated=results[2 * index].report,
+            disaggregated=results[2 * index + 1].report,
+        )
+        for index, (n_models, system, _) in enumerate(pairs)
+    ]

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentScale, current_scale, systems_named
 from repro.hardware.cluster import paper_testbed
 from repro.metrics.cdf import Cdf
 from repro.metrics.report import RunReport
 from repro.models.catalog import LLAMA2_13B, LLAMA2_7B, LLAMA32_3B
+from repro.registry import system_factory
+from repro.runner import ExperimentScale, current_scale
 from repro.workloads.azure_serverless import (
     AzureServerlessConfig,
     mixed_models,
@@ -49,8 +50,8 @@ def run_gpu_efficiency(
     )
     workload = synthesize_azure_trace(models, config)
     results = []
-    for name, factory in systems_named("sllm", "sllm+c+s", "slinfer"):
-        report = factory(paper_testbed()).run(workload)
+    for name in ("sllm", "sllm+c+s", "slinfer"):
+        report = system_factory(name)(paper_testbed()).run(workload)
         gpu_values = []
         for batch, count in report.gpu_batch_histogram.items():
             gpu_values.extend([float(batch)] * count)

@@ -4,28 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import (
-    ExperimentScale,
-    current_scale,
-    make_azure_workload,
-    systems_named,
-)
-from repro.registry import system_factory
-from repro.hardware.cluster import Cluster
-from repro.hardware.specs import XEON_GEN4_32C, harvested_cpu
 from repro.metrics.report import RunReport
-from repro.models.catalog import (
-    CODELLAMA_34B,
-    LLAMA2_13B,
-    LLAMA2_7B,
-    LLAMA32_3B,
-)
-from repro.workloads.azure_serverless import (
-    AzureServerlessConfig,
-    mixed_models,
-    synthesize_azure_trace,
-)
-from repro.workloads.spec import Deployment, Workload
+from repro.runner import ExperimentScale, RunSpec, SweepExecutor, current_scale
 
 
 # ----------------------------------------------------------------------
@@ -44,26 +24,28 @@ def run_cpu_scalability(
     n_models: int = 64,
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[ScalabilityPoint]:
     """Start from 2 GPU + 0 CPU nodes and add CPU or GPU nodes."""
-    scale = scale or current_scale()
-    workload = make_azure_workload(LLAMA2_7B, n_models, scale, seed=seed)
-    slinfer = system_factory("slinfer")
-    points = []
-    for kind in ("cpu", "gpu"):
-        for added in range(0, max_added + 1, 2):
-            cpu = added if kind == "cpu" else 0
-            gpu = 2 + (added if kind == "gpu" else 0)
-            report = slinfer(Cluster.build(cpu, gpu)).run(workload)
-            points.append(
-                ScalabilityPoint(
-                    added_nodes=added,
-                    kind=kind,
-                    slo_met=report.slo_met_count,
-                    total=report.total_requests,
-                )
-            )
-    return points
+    window = (scale or current_scale()).spec_axes()
+    steps = [
+        (kind, added, f"cpu{added}-gpu2" if kind == "cpu" else f"cpu0-gpu{2 + added}")
+        for kind in ("cpu", "gpu")
+        for added in range(0, max_added + 1, 2)
+    ]
+    specs = [
+        RunSpec(system="slinfer", n_models=n_models, cluster=cluster, seed=seed, **window)
+        for _, _, cluster in steps
+    ]
+    return [
+        ScalabilityPoint(
+            added_nodes=added,
+            kind=kind,
+            slo_met=result.report.slo_met_count,
+            total=result.report.total_requests,
+        )
+        for (kind, added, _), result in zip(steps, (executor or SweepExecutor()).run(specs))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -86,55 +68,32 @@ class MixedResult:
     report: RunReport
 
 
-def _mixed_workload(ratio: tuple[int, int, int, int], n_models: int, scale, seed) -> Workload:
-    specs = {
-        LLAMA32_3B: ratio[0],
-        LLAMA2_7B: ratio[1],
-        LLAMA2_13B: ratio[2],
-        CODELLAMA_34B: ratio[3],
-    }
-    specs = {spec: weight for spec, weight in specs.items() if weight > 0}
-    models = mixed_models(specs, total=n_models, seed=seed)
-    config = AzureServerlessConfig(
-        n_models=n_models,
-        duration=scale.duration,
-        requests_per_model=scale.requests_per_model,
-        seed=seed,
-    )
-    workload = synthesize_azure_trace(models, config)
-    # 34B deployments run tensor-parallel over 2 GPUs (§IX-E).
-    deployments = {
-        name: Deployment(
-            name=name,
-            model=dep.model,
-            tp_degree=2 if dep.model is CODELLAMA_34B else 1,
-        )
-        for name, dep in workload.deployments.items()
-    }
-    return Workload(
-        name=workload.name,
-        deployments=deployments,
-        requests=workload.requests,
-        duration=workload.duration,
-    )
-
-
 def run_mixed_deployment(
     ratios: tuple = POPULARITY_RATIOS,
     n_models: int = 36,
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[MixedResult]:
     """§IX-E setup: 4 CPU + 6 GPU nodes, varying model-size popularity."""
-    scale = scale or current_scale()
-    results = []
-    for ratio in ratios:
-        workload = _mixed_workload(ratio, n_models, scale, seed)
-        label = ":".join(str(x) for x in ratio)
-        for name, factory in systems_named("sllm+c", "sllm+c+s", "slinfer"):
-            report = factory(Cluster.build(4, 6)).run(workload)
-            results.append(MixedResult(ratio=label, system=name, report=report))
-    return results
+    window = (scale or current_scale()).spec_axes()
+    cells = [(ratio, system) for ratio in ratios for system in ("sllm+c", "sllm+c+s", "slinfer")]
+    specs = [
+        RunSpec(
+            system=system,
+            scenario="mixed-fleet",
+            n_models=n_models,
+            cluster="mixed-fleet",
+            seed=seed,
+            scenario_params={"ratio": ratio},
+            **window,
+        )
+        for ratio, system in cells
+    ]
+    return [
+        MixedResult(ratio=":".join(str(x) for x in ratio), system=system, report=result.report)
+        for (ratio, system), result in zip(cells, (executor or SweepExecutor()).run(specs))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -147,27 +106,38 @@ class HarvestPoint:
     slo_miss_rate: float
 
 
+def _harvest_cluster(cores: int) -> str:
+    """The Fig. 29 cluster: 4 GPUs plus 4 CPU nodes of ``cores`` cores.
+
+    0 cores means no CPU nodes at all; a whole 32-core Xeon per node is
+    the paper testbed itself.
+    """
+    return {0: "cpu0-gpu4", 32: "paper"}.get(cores, f"harvest{cores}")
+
+
 def run_harvested_cores(
     core_counts: tuple[int, ...] = (0, 8, 16, 32),
     n_models: int = 64,
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[HarvestPoint]:
-    scale = scale or current_scale()
-    workload = make_azure_workload(LLAMA2_7B, n_models, scale, seed=seed)
-    points = []
-    for cores in core_counts:
-        if cores > 0:
-            cpu_spec = XEON_GEN4_32C if cores == 32 else harvested_cpu(cores)
-            cluster_cpus = 4
-        else:
-            cpu_spec = XEON_GEN4_32C
-            cluster_cpus = 0
-        for name, factory in systems_named("neo+", "sllm+c+s", "slinfer"):
-            kwargs = {"harvested_cores_per_gpu": cores} if name == "neo+" else {}
-            cluster = Cluster.build(cluster_cpus, 4, cpu_spec=cpu_spec)
-            report = factory(cluster, **kwargs).run(workload)
-            points.append(
-                HarvestPoint(cores_per_gpu=cores, system=name, slo_miss_rate=report.slo_miss_rate)
-            )
-    return points
+    window = (scale or current_scale()).spec_axes()
+    cells = [
+        (cores, system) for cores in core_counts for system in ("neo+", "sllm+c+s", "slinfer")
+    ]
+    specs = [
+        RunSpec(
+            # NEO+ harvests the same cores to assist its GPU decode.
+            system=f"neo+{cores}" if system == "neo+" and cores > 0 else system,
+            n_models=n_models,
+            cluster=_harvest_cluster(cores),
+            seed=seed,
+            **window,
+        )
+        for cores, system in cells
+    ]
+    return [
+        HarvestPoint(cores_per_gpu=cores, system=system, slo_miss_rate=result.report.slo_miss_rate)
+        for (cores, system), result in zip(cells, (executor or SweepExecutor()).run(specs))
+    ]

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentScale, current_scale, make_azure_workload
-from repro.registry import system_factory
-from repro.hardware.cluster import Cluster
 from repro.hardware.specs import A100_80GB, XEON_GEN4_32C
 from repro.metrics.cdf import Cdf
 from repro.models.catalog import (
@@ -16,6 +13,7 @@ from repro.models.catalog import (
     ModelSpec,
 )
 from repro.perf.laws import LatencyLaw, kv_scaling_seconds
+from repro.runner import ExperimentScale, RunSpec, SweepExecutor, current_scale
 from repro.slo import ttft_slo
 from repro.workloads.azure_serverless import AzureServerlessConfig, synthesize_azure_trace
 
@@ -35,26 +33,32 @@ def run_fig4_sllm_capacity(
     counts: tuple[int, ...] = (16, 32, 64, 96, 128),
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[CapacityPoint]:
-    scale = scale or current_scale()
-    points = []
-    for n_models in counts:
-        workload = make_azure_workload(LLAMA2_7B, n_models, scale, seed=seed)
-        report = system_factory("sllm")(Cluster.build(0, 4)).run(workload)
-        points.append(CapacityPoint(n_models=n_models, slo_rate=report.slo_rate))
-    return points
+    window = (scale or current_scale()).spec_axes()
+    specs = [
+        RunSpec(system="sllm", n_models=n_models, cluster="cpu0-gpu4", seed=seed, **window)
+        for n_models in counts
+    ]
+    return [
+        CapacityPoint(n_models=n_models, slo_rate=result.report.slo_rate)
+        for n_models, result in zip(counts, (executor or SweepExecutor()).run(specs))
+    ]
 
 
 # ----------------------------------------------------------------------
 # Fig. 5 — GPU memory utilization under sllm at 128 models
 # ----------------------------------------------------------------------
 def run_fig5_memory_utilization(
-    n_models: int = 128, scale: ExperimentScale | None = None, seed: int = 1
+    n_models: int = 128,
+    scale: ExperimentScale | None = None,
+    seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> Cdf:
-    scale = scale or current_scale()
-    workload = make_azure_workload(LLAMA2_7B, n_models, scale, seed=seed)
-    report = system_factory("sllm")(Cluster.build(0, 4)).run(workload)
-    return report.memory_utilization_cdf()
+    window = (scale or current_scale()).spec_axes()
+    spec = RunSpec(system="sllm", n_models=n_models, cluster="cpu0-gpu4", seed=seed, **window)
+    [result] = (executor or SweepExecutor()).run([spec])
+    return result.report.memory_utilization_cdf()
 
 
 # ----------------------------------------------------------------------

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import (
-    ExperimentScale,
-    current_scale,
-    make_azure_workload,
-    systems_named,
-)
-from repro.registry import system_factory
-from repro.hardware.cluster import Cluster
 from repro.metrics.report import OverheadStat
-from repro.models.catalog import LLAMA2_7B
+from repro.runner import ExperimentScale, RunSpec, SweepExecutor, current_scale
+
+
+def _pairs_cluster(pairs: int) -> str:
+    """``pairs`` CPU + ``pairs`` GPU nodes; 4 + 4 is the paper testbed."""
+    return "paper" if pairs == 4 else f"cpu{pairs}-gpu{pairs}"
 
 
 @dataclass(frozen=True)
@@ -29,23 +26,26 @@ def run_node_scaling(
     n_models: int = 64,
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[NodeScalingPoint]:
     """Fig. 32: 1 CPU + 1 GPU up to 4 CPU + 4 GPU."""
-    scale = scale or current_scale()
-    workload = make_azure_workload(LLAMA2_7B, n_models, scale, seed=seed)
-    points = []
-    for pairs in node_pairs:
-        for name, factory in systems_named("sllm+c+s", "slinfer"):
-            report = factory(Cluster.build(pairs, pairs)).run(workload)
-            points.append(
-                NodeScalingPoint(
-                    total_nodes=2 * pairs,
-                    system=name,
-                    slo_met=report.slo_met_count,
-                    total=report.total_requests,
-                )
-            )
-    return points
+    window = (scale or current_scale()).spec_axes()
+    cells = [(pairs, system) for pairs in node_pairs for system in ("sllm+c+s", "slinfer")]
+    specs = [
+        RunSpec(
+            system=system, n_models=n_models, cluster=_pairs_cluster(pairs), seed=seed, **window
+        )
+        for pairs, system in cells
+    ]
+    return [
+        NodeScalingPoint(
+            total_nodes=2 * pairs,
+            system=system,
+            slo_met=result.report.slo_met_count,
+            total=result.report.total_requests,
+        )
+        for (pairs, system), result in zip(cells, (executor or SweepExecutor()).run(specs))
+    ]
 
 
 @dataclass(frozen=True)
@@ -60,23 +60,28 @@ def run_scheduling_overhead(
     n_models: int = 64,
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[OverheadPoint]:
     """Fig. 33: measured wall-clock cost of SLINFER's decisions.
 
     Unlike the other figures this measures *our implementation's* real
-    overhead, mirroring how the paper measures its own scheduler.
+    overhead, mirroring how the paper measures its own scheduler.  The
+    overhead stats travel with each result (and its cache entry), so a
+    run shared with Fig. 32 reports the cost measured when it ran.
     """
-    scale = scale or current_scale()
-    workload = make_azure_workload(LLAMA2_7B, n_models, scale, seed=seed)
-    points = []
-    empty = OverheadStat(count=0, total_seconds=0.0, mean_seconds=0.0)
-    for pairs in node_pairs:
-        report = system_factory("slinfer")(Cluster.build(pairs, pairs)).run(workload)
-        points.append(
-            OverheadPoint(
-                total_nodes=2 * pairs,
-                shadow_validation=report.overhead_stats.get("shadow_validation", empty),
-                token_schedule=report.overhead_stats.get("token_schedule", empty),
-            )
+    window = (scale or current_scale()).spec_axes()
+    specs = [
+        RunSpec(
+            system="slinfer", n_models=n_models, cluster=_pairs_cluster(pairs), seed=seed, **window
         )
-    return points
+        for pairs in node_pairs
+    ]
+    empty = OverheadStat(count=0, total_seconds=0.0, mean_seconds=0.0)
+    return [
+        OverheadPoint(
+            total_nodes=2 * pairs,
+            shadow_validation=result.report.overhead_stats.get("shadow_validation", empty),
+            token_schedule=result.report.overhead_stats.get("token_schedule", empty),
+        )
+        for pairs, result in zip(node_pairs, (executor or SweepExecutor()).run(specs))
+    ]

@@ -4,20 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import SlinferConfig, SystemConfig
-from repro.experiments.common import (
-    ExperimentScale,
-    current_scale,
-    make_azure_workload,
-    systems_named,
-)
-from repro.registry import system_factory
-from repro.hardware.cluster import paper_testbed
 from repro.metrics.report import RunReport
-from repro.models.catalog import LLAMA31_8B, LLAMA2_7B
-from repro.workloads.burstgpt import BurstGPTConfig, synthesize_burstgpt_trace
-from repro.workloads.datasets import DATASETS
-from repro.workloads.azure_serverless import replica_models
+from repro.models.catalog import LLAMA31_8B
+from repro.runner import ExperimentScale, RunSpec, SweepExecutor, current_scale
 
 
 # ----------------------------------------------------------------------
@@ -35,20 +24,25 @@ def run_burstgpt_loads(
     n_models: int = 64,
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[BurstGptPoint]:
-    scale = scale or current_scale()
-    points = []
-    for rps in rps_levels:
-        workload = synthesize_burstgpt_trace(
-            replica_models(LLAMA2_7B, n_models),
-            BurstGPTConfig(
-                aggregate_rps=rps, duration=scale.duration, n_models=n_models, seed=seed
-            ),
+    window = (scale or current_scale()).spec_axes()
+    cells = [(rps, system) for rps in rps_levels for system in ("sllm+c+s", "slinfer")]
+    specs = [
+        RunSpec(
+            system=system,
+            scenario="burstgpt",
+            n_models=n_models,
+            seed=seed,
+            scenario_params={"aggregate_rps": rps},
+            **window,
         )
-        for name, factory in systems_named("sllm+c+s", "slinfer"):
-            report = factory(paper_testbed()).run(workload)
-            points.append(BurstGptPoint(rps=rps, system=name, report=report))
-    return points
+        for rps, system in cells
+    ]
+    return [
+        BurstGptPoint(rps=rps, system=system, report=result.report)
+        for (rps, system), result in zip(cells, (executor or SweepExecutor()).run(specs))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -67,26 +61,27 @@ def run_keepalive_sweep(
     n_models: int = 64,
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[KeepalivePoint]:
-    scale = scale or current_scale()
-    workload = make_azure_workload(LLAMA2_7B, n_models, scale, seed=seed)
+    window = (scale or current_scale()).spec_axes()
+    cells = [(threshold, system) for threshold in thresholds for system in ("sllm+c+s", "slinfer")]
+    specs = [
+        RunSpec(
+            system=system, n_models=n_models, seed=seed, config={"keepalive": threshold}, **window
+        )
+        for threshold, system in cells
+    ]
     points = []
-    for threshold in thresholds:
-        for name, config in (
-            ("sllm+c+s", SystemConfig(keepalive=threshold)),
-            ("slinfer", SlinferConfig(keepalive=threshold)),
-        ):
-            report = system_factory(name)(paper_testbed(), config=config).run(workload)
-            ttft_cdf = report.ttft_cdf()
-            p95 = ttft_cdf.percentile(95.0) if not ttft_cdf.empty else float("nan")
-            points.append(
-                KeepalivePoint(
-                    threshold=threshold,
-                    system=name,
-                    gpus_used=report.avg_nodes_used_gpu,
-                    p95_ttft=p95,
-                )
+    for (threshold, system), result in zip(cells, (executor or SweepExecutor()).run(specs)):
+        ttft_cdf = result.report.ttft_cdf()
+        points.append(
+            KeepalivePoint(
+                threshold=threshold,
+                system=system,
+                gpus_used=result.report.avg_nodes_used_gpu,
+                p95_ttft=ttft_cdf.percentile(95.0) if not ttft_cdf.empty else float("nan"),
             )
+        )
     return points
 
 
@@ -106,25 +101,29 @@ def run_watermark_sweep(
     n_models: int = 64,
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[WatermarkPoint]:
-    scale = scale or current_scale()
-    workload = make_azure_workload(LLAMA2_7B, n_models, scale, seed=seed)
-    points = []
-    for watermark in watermarks:
-        config = SlinferConfig(watermark=watermark)
-        report = system_factory("slinfer")(paper_testbed(), config=config).run(workload)
-        kv_util = report.mean_kv_utilization
-        # §IX-I5 reports the *underestimation*-driven migration rate.
-        migration_rate = report.evictions / max(1, report.total_requests)
-        points.append(
-            WatermarkPoint(
-                watermark=watermark,
-                kv_utilization=kv_util,
-                scaling_overhead=report.scaling_time_fraction,
-                migration_rate=migration_rate,
-            )
+    window = (scale or current_scale()).spec_axes()
+    specs = [
+        RunSpec(
+            system="slinfer",
+            n_models=n_models,
+            seed=seed,
+            config={"watermark": watermark},
+            **window,
         )
-    return points
+        for watermark in watermarks
+    ]
+    return [
+        WatermarkPoint(
+            watermark=watermark,
+            kv_utilization=result.report.mean_kv_utilization,
+            scaling_overhead=result.report.scaling_time_fraction,
+            # §IX-I5 reports the *underestimation*-driven migration rate.
+            migration_rate=result.report.evictions / max(1, result.report.total_requests),
+        )
+        for watermark, result in zip(watermarks, (executor or SweepExecutor()).run(specs))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -148,16 +147,23 @@ def run_dataset_sweep(
     n_models: int = 64,
     scale: ExperimentScale | None = None,
     seed: int = 1,
+    executor: SweepExecutor | None = None,
 ) -> list[DatasetResult]:
     """§IX-I1: Llama-3.1-8B across the five length distributions."""
-    scale = scale or current_scale()
-    results = []
-    for dataset_name in dataset_names:
-        workload = make_azure_workload(
-            LLAMA31_8B, n_models, scale, seed=seed,
-            length_distribution=DATASETS[dataset_name],
+    window = (scale or current_scale()).spec_axes()
+    cells = [(dataset, system) for dataset in dataset_names for system in ("sllm+c+s", "slinfer")]
+    specs = [
+        RunSpec(
+            system=system,
+            model=LLAMA31_8B.name,
+            n_models=n_models,
+            seed=seed,
+            scenario_params={"dataset": dataset},
+            **window,
         )
-        for name, factory in systems_named("sllm+c+s", "slinfer"):
-            report = factory(paper_testbed()).run(workload)
-            results.append(DatasetResult(dataset=dataset_name, system=name, report=report))
-    return results
+        for dataset, system in cells
+    ]
+    return [
+        DatasetResult(dataset=dataset, system=system, report=result.report)
+        for (dataset, system), result in zip(cells, (executor or SweepExecutor()).run(specs))
+    ]

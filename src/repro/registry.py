@@ -21,11 +21,16 @@ Usage::
 Contracts:
 
 * **system** — ``factory(cluster, *, slo=..., config=...,
-  policy_overrides=..., metrics=..., **bundle_kwargs) -> ServingSystem``.
+  config_overrides=..., policy_overrides=..., metrics=...,
+  **bundle_kwargs) -> ServingSystem``.
+  ``config_overrides`` replaces fields of ``config`` (default: the
+  bundle's own config class) and carries a run spec's ``config`` axis;
   ``policy_overrides`` maps policy kinds to registered policy specs
   (e.g. ``{"reclaim": "never"}``) and is how sweeps ablate one
   mechanism of a system without writing a new class; ``metrics``
   selects the collector mode (``"exact"`` / ``"streaming"``).
+  :func:`system_factory` also accepts ``neo+{C}`` (NEO+ with ``C``
+  harvested cores per GPU, the Fig. 29 twin of ``harvest{C}``).
 * **cluster** — ``factory() -> Cluster``.  :func:`build_cluster`
   additionally accepts ad-hoc ``cpu{N}-gpu{M}`` names (e.g.
   ``cpu2-gpu6``) so sweeps can vary node counts without registering
@@ -40,7 +45,9 @@ Contracts:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional
+from dataclasses import replace
+from functools import partial
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.core.config import SystemConfig
 from repro.core.system import ServingSystem
@@ -72,7 +79,6 @@ __all__ = [
     "resolve_federation",
     "resolve_scenario",
     "system_factory",
-    "systems_named",
 ]
 
 
@@ -92,13 +98,8 @@ TOPOLOGIES: Registry[Callable[[Cluster], Topology]] = Registry("topology")
 
 
 def system_factory(name: str) -> Callable[..., ServingSystem]:
-    """Resolve a serving-system factory by registered name."""
-    return SYSTEMS.get(name)
-
-
-def systems_named(*names: str) -> list[tuple[str, Callable[..., ServingSystem]]]:
-    """``(name, factory)`` pairs for the given registered systems."""
-    return [(name, SYSTEMS.get(name)) for name in names]
+    """Resolve a serving-system factory by registered name or pattern."""
+    return SYSTEMS.resolve(name)
 
 
 # ----------------------------------------------------------------------
@@ -109,15 +110,23 @@ def _cpu_gpu_cluster(name: str, N: int, M: int) -> Callable[[], Cluster]:
     return lambda: Cluster.build(cpu_count=N, gpu_count=M)
 
 
+def _check_harvested_cores(name: str, cores: int) -> None:
+    if not 0 < cores <= XEON_GEN4_32C.cores:
+        raise RegistryError(f"{name}: harvested cores must be in 1..{XEON_GEN4_32C.cores}")
+
+
 @CLUSTERS.register_pattern(
     "harvest{C}", summary="Fig. 29 harvested-core CPUs: 4 cpu (C cores) + 4 gpu"
 )
 def _harvest_cluster(name: str, C: int) -> Callable[[], Cluster]:
-    if not 0 < C <= XEON_GEN4_32C.cores:
-        raise RegistryError(
-            f"{name}: harvested cores must be in 1..{XEON_GEN4_32C.cores}"
-        )
+    _check_harvested_cores(name, C)
     return lambda: Cluster.build(cpu_count=4, gpu_count=4, cpu_spec=harvested_cpu(C))
+
+
+@SYSTEMS.register_pattern("neo+{C}", summary="Fig. 29 NEO+ with C harvested cores per GPU")
+def _neo_harvest_system(name: str, C: int) -> Callable[..., ServingSystem]:
+    _check_harvested_cores(name, C)
+    return partial(SYSTEMS.get("neo+"), harvested_cores_per_gpu=C)
 
 
 @SCENARIOS.register_pattern(
@@ -179,6 +188,7 @@ def _bundle_system_factory(bundle_name: str) -> Callable[..., ServingSystem]:
         cluster: Cluster,
         slo: SloPolicy = DEFAULT_SLO,
         config: Optional[SystemConfig] = None,
+        config_overrides: Optional[Mapping[str, Any]] = None,
         policy_overrides: Mapping[str, str] | Iterable[tuple[str, str]] | None = None,
         observers: Optional[list[Observer]] = None,
         metrics: str = "exact",
@@ -187,6 +197,9 @@ def _bundle_system_factory(bundle_name: str) -> Callable[..., ServingSystem]:
         **bundle_kwargs,
     ) -> ServingSystem:
         bundle = build_bundle(bundle_name, overrides=policy_overrides, **bundle_kwargs)
+        if config_overrides:
+            base = config or (bundle.default_config or SystemConfig)()
+            config = replace(base, **config_overrides)
         return ServingSystem(
             cluster, policies=bundle, slo=slo, config=config, observers=observers,
             metrics=metrics, engine=engine, kv_sharing=kv_sharing,

@@ -43,6 +43,8 @@ def build_system(spec: RunSpec, **system_kwargs: Any):
     name is forwarded, so a spec pinned to ``reference`` runs it even
     when ``REPRO_ENGINE`` names another backend.
     """
+    if spec.config:
+        system_kwargs.setdefault("config_overrides", dict(spec.config))
     if spec.policy_overrides:
         system_kwargs.setdefault("policy_overrides", dict(spec.policy_overrides))
     if spec.metrics != "exact":
@@ -120,24 +122,31 @@ class SweepExecutor:
         are independent of worker count and cache state.
         """
         results: list[RunResult | None] = [None] * len(specs)
-        pending: list[tuple[int, RunSpec]] = []
+        # fingerprint -> (spec, indices asking for it), in first-seen order:
+        # a spec repeated within one call is simulated once.
+        pending: dict[str, tuple[RunSpec, list[int]]] = {}
         for index, spec in enumerate(specs):
             fingerprint = spec.fingerprint()
+            if fingerprint in pending:
+                pending[fingerprint][1].append(index)
+                continue
             payload = self.cache.get(fingerprint) if self.cache is not None else None
             if payload is not None:
                 results[index] = RunResult.from_payload(payload, from_cache=True)
             else:
-                pending.append((index, spec))
+                pending[fingerprint] = (spec, [index])
 
         if pending:
-            if self.workers > 1 and len(pending) > 1:
-                payloads = self._run_parallel([spec for _, spec in pending])
+            todo = [spec for spec, _ in pending.values()]
+            if self.workers > 1 and len(todo) > 1:
+                payloads = self._run_parallel(todo)
             else:
-                payloads = [execute_spec(spec).to_payload() for _, spec in pending]
-            for (index, _), payload in zip(pending, payloads):
+                payloads = [execute_spec(spec).to_payload() for spec in todo]
+            for (_, indices), payload in zip(pending.values(), payloads):
                 if self.cache is not None:
                     self.cache.put(payload["fingerprint"], payload)
-                results[index] = RunResult.from_payload(payload)
+                for index in indices:
+                    results[index] = RunResult.from_payload(payload)
 
         return [result for result in results if result is not None]
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Any
 
 from repro.workloads.azure_serverless import REQUESTS_PER_MODEL_30MIN
 
@@ -29,6 +30,10 @@ class ExperimentScale:
     @property
     def requests_per_model(self) -> float:
         return REQUESTS_PER_MODEL_30MIN * self.duration / 1800.0
+
+    def spec_axes(self) -> dict[str, Any]:
+        """``RunSpec`` axes replaying this window (explicit for unregistered labels)."""
+        return {"scale": self.label, "duration": self.duration}
 
 
 FULL_SCALE = ExperimentScale(duration=1800.0, label="full")

@@ -22,8 +22,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from typing import Any, Iterable, Sequence
 
+from repro.core.config import SlinferConfig
 from repro.metrics.report import OverheadStat, RunReport
 from repro.models.catalog import get_model
 from repro.registry import resolve_scenario
@@ -47,6 +49,7 @@ PAYLOAD_OPTIONAL_AXES: dict[str, Any] = {
     "engine": None,
     "kv_sharing": "off",
     "federation": None,
+    "config": (),
 }
 
 #: Axes excluded from the fingerprint even when serialized.  Engine
@@ -78,6 +81,21 @@ def _freeze_overrides(overrides: Any) -> tuple[tuple[str, str], ...]:
         return ()
     items = overrides.items() if isinstance(overrides, dict) else tuple(overrides)
     return tuple(sorted((str(kind), str(spec)) for kind, spec in items))
+
+
+_CONFIG_DEFAULTS: dict[str, Any] = {
+    entry.name: entry.default for entry in dataclass_fields(SlinferConfig)
+}
+
+
+def _freeze_config(config: Any) -> tuple[tuple[str, Any], ...]:
+    """Normalize config overrides to sorted pairs, dropping default values."""
+    items = sorted(config.items() if isinstance(config, dict) else tuple(config or ()))
+    for key, _ in items:
+        if key not in _CONFIG_DEFAULTS:
+            known = ", ".join(sorted(_CONFIG_DEFAULTS))
+            raise ValueError(f"unknown config field {key!r} (known: {known})")
+    return tuple((key, value) for key, value in items if value != _CONFIG_DEFAULTS[key])
 
 
 @dataclass(frozen=True)
@@ -124,10 +142,15 @@ class RunSpec:
     # names, the value is resolved against its registry at execution
     # (and CLI) time, not here — keeping the spec import-light.
     federation: str | None = None
+    # SlinferConfig field overrides, e.g. (("enable_cpu", False),), applied
+    # to the system's own config class.  Default-valued entries are
+    # dropped and () is omitted from the payload (pre-axis fingerprints).
+    config: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenario_params", _freeze_params(self.scenario_params))
         object.__setattr__(self, "policy_overrides", _freeze_overrides(self.policy_overrides))
+        object.__setattr__(self, "config", _freeze_config(self.config))
         from repro.metrics.collector import METRICS_MODES
 
         if self.metrics not in METRICS_MODES:
@@ -181,7 +204,7 @@ class RunSpec:
             value = getattr(self, axis)
             if value == default:
                 continue
-            payload[axis] = dict(value) if axis == "policy_overrides" else value
+            payload[axis] = dict(value) if axis in ("policy_overrides", "config") else value
         return payload
 
     @classmethod
@@ -202,6 +225,7 @@ class RunSpec:
             engine=payload.get("engine"),
             kv_sharing=payload.get("kv_sharing", "off"),
             federation=payload.get("federation"),
+            config=payload.get("config") or (),
         )
 
     def fingerprint(self) -> str:
@@ -233,6 +257,8 @@ class RunSpec:
             system += f" engine={self.engine}"
         if self.kv_sharing != "off":
             system += f" kv={self.kv_sharing}"
+        for key, value in self.config:
+            system += f" {key}={value}"
         cluster = self.cluster
         if self.topology is not None:
             cluster += f"/{self.topology}"

@@ -10,8 +10,8 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
-from repro.experiments.common import SMOKE_SCALE, ExperimentScale, make_azure_workload
 from repro.models import LLAMA2_7B
+from repro.runner import SMOKE_SCALE, RunSpec, build_workload
 
 
 def test_table1_has_both_generations():
@@ -58,8 +58,8 @@ def test_fig17_monotone_costs():
 
 
 def test_make_azure_workload_scales_rate_not_count():
-    full = make_azure_workload(LLAMA2_7B, 8, ExperimentScale(1800.0, "f"), seed=2)
-    quick = make_azure_workload(LLAMA2_7B, 8, ExperimentScale(600.0, "q"), seed=2)
+    full = build_workload(RunSpec(system="sllm", n_models=8, seed=2, duration=1800.0))
+    quick = build_workload(RunSpec(system="sllm", n_models=8, seed=2, duration=600.0))
     full_rate = full.total_requests / full.duration
     quick_rate = quick.total_requests / quick.duration
     assert quick_rate == pytest.approx(full_rate, rel=0.35)

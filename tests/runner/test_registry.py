@@ -14,7 +14,6 @@ from repro.registry import (
     build_cluster,
     resolve_scenario,
     system_factory,
-    systems_named,
 )
 
 
@@ -68,12 +67,6 @@ def test_builtin_scenarios_registered():
 def test_system_factory_builds_named_system(small_cluster):
     system = system_factory("sllm+c+s")(small_cluster)
     assert system.name == "sllm+c+s"
-
-
-def test_systems_named_pairs():
-    pairs = systems_named("sllm", "slinfer")
-    assert [name for name, _ in pairs] == ["sllm", "slinfer"]
-    assert all(callable(factory) for _, factory in pairs)
 
 
 def test_build_cluster_registered_and_pattern():

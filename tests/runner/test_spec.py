@@ -157,3 +157,54 @@ def test_execute_spec_applies_policy_overrides():
     )
     result = execute_spec(spec)
     assert result.report.system == "sllm[reclaim=never]"
+
+
+# ----------------------------------------------------------------------
+# SlinferConfig overrides (the config axis)
+# ----------------------------------------------------------------------
+def test_config_overrides_fold_into_fingerprint():
+    plain = RunSpec(system="slinfer")
+    ablated = RunSpec(system="slinfer", config={"enable_cpu": False})
+    watermark = RunSpec(system="slinfer", config={"watermark": 0.5})
+    assert len({plain.fingerprint(), ablated.fingerprint(), watermark.fingerprint()}) == 3
+
+
+def test_empty_or_default_config_keeps_pre_axis_fingerprint():
+    # RunSpec(system="slinfer", seed=1).fingerprint() before the axis existed.
+    pre_axis = "5edf9c317413969ad361538f9a7efef85ef3f125ecbca1a319ebecdc534567c2"
+    spec = RunSpec(system="slinfer", seed=1)
+    assert "config" not in spec.to_dict()
+    for config in ((), {}, {"keepalive": 1.0}, {"watermark": 0.25, "enable_cpu": True}):
+        same = RunSpec(system="slinfer", seed=1, config=config)
+        assert same == spec
+        assert same.fingerprint() == spec.fingerprint()
+    assert spec.fingerprint() == pre_axis
+
+
+def test_config_normalized_round_tripped_and_labelled():
+    a = RunSpec(system="slinfer", config={"watermark": 0.5, "enable_cpu": False})
+    b = RunSpec(system="slinfer", config=(("enable_cpu", False), ("watermark", 0.5)))
+    assert a == b
+    assert a.config == (("enable_cpu", False), ("watermark", 0.5))
+    assert RunSpec.from_dict(a.to_dict()) == a
+    assert a.label().endswith("-> slinfer enable_cpu=False watermark=0.5")
+
+
+def test_config_unknown_field_is_an_error():
+    with pytest.raises(ValueError, match="unknown config field 'warp'"):
+        RunSpec(system="slinfer", config={"warp": 9})
+
+
+def test_execute_spec_applies_config_like_a_hand_built_system():
+    from repro.core import SlinferConfig
+    from repro.registry import build_cluster, system_factory
+    from repro.runner import execute_spec
+
+    spec = RunSpec(system="slinfer", n_models=4, duration=60.0, config={"enable_cpu": False})
+    by_spec = execute_spec(spec).report
+    config = SlinferConfig(enable_cpu=False)
+    by_hand = system_factory("slinfer")(build_cluster("paper"), config=config).run(
+        build_workload(spec)
+    )
+    assert by_spec.to_dict(include_volatile=False) == by_hand.to_dict(include_volatile=False)
+    assert by_spec.avg_nodes_used_cpu == 0.0

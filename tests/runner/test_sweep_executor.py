@@ -54,6 +54,25 @@ def test_results_keep_spec_order():
     assert [r.spec for r in results] == specs
 
 
+def test_repeated_spec_is_simulated_once(monkeypatch):
+    import repro.runner.executor as executor_module
+
+    calls = []
+    real = executor_module.execute_spec
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "execute_spec", counting)
+    spec = RunSpec(system="sllm", **TINY)
+    other = RunSpec(system="sllm", seed=2, **TINY)
+    results = SweepExecutor(workers=1).run([spec, other, spec])
+    assert calls == [spec, other]
+    assert [r.spec for r in results] == [spec, other, spec]
+    assert results[0].canonical_json() == results[2].canonical_json()
+
+
 # ----------------------------------------------------------------------
 # Streaming-mode sweeps and shard merging
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.compute.scheduler import WorkKind
 from repro.engine.request import RequestState
 from repro.hardware import Cluster
 from repro.models import LLAMA2_7B
-from repro.registry import system_factory
+from repro.registry import RegistryError, build_cluster, system_factory
 
 from tests.systems.helpers import steady_stream, tiny_workload
 
@@ -50,6 +50,20 @@ def test_neo_raises_concurrency_limit():
 def test_neo_rejects_negative_cores():
     with pytest.raises(ValueError):
         _neo(-1)
+
+
+def test_neo_cores_pattern_matches_bundle_argument():
+    patterned = system_factory("neo+16")(Cluster.build(0, 1))
+    executor_stub = type("E", (), {"node": patterned.cluster.gpu_nodes[0]})()
+    assert _latency_factor(patterned, executor_stub, WorkKind.DECODE) == _latency_factor(
+        _neo(16), executor_stub, WorkKind.DECODE
+    )
+    assert patterned.name == "neo+"
+    # Same core range as the harvest{C} cluster it pairs with.
+    with pytest.raises(RegistryError, match="harvested cores must be in 1..32"):
+        system_factory("neo+33")
+    with pytest.raises(RegistryError, match="harvested cores must be in 1..32"):
+        build_cluster("harvest33")
 
 
 def test_neo_serves_workload_gpu_only():
