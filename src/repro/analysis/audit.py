@@ -13,6 +13,11 @@ un-audited runs:
   actually live (instance batches, prefill queues, the admission
   queue, or mid-migration): a request the system lost track of fails
   the audit even though every counter looks plausible.
+* **Batch profiles** — every active instance's cached
+  :class:`~repro.engine.instance.BatchProfile` answers (KV blocks,
+  steps to the earliest completion, the watermark's quiet bound) equal
+  sums recomputed from the members: a batch mutated past the
+  join/leave/grant seams fails here.
 
 The seam follows the ``REPRO_ENGINE``/``REPRO_WORKERS`` convention:
 read per run, so tests can monkeypatch the environment.
@@ -23,6 +28,8 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Iterable
 
+from repro.engine.instance import Instance, InstanceState
+from repro.engine.kvcache import BLOCK_TOKENS
 from repro.engine.request import Request, RequestState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,6 +96,37 @@ def _resident_requests(system: "ServingSystem") -> dict[int, int]:
     return resident
 
 
+def _audit_profile(instance: Instance) -> None:
+    """Check ``instance``'s batch profile against recomputed member sums."""
+    from repro.policies.slinfer import quiet_decode_steps
+
+    batch = instance.batch
+    profile = instance.batch_profile()
+    grants = instance.grants
+    kv = instance.kv
+    live = sum(kv.used_bytes(request.context_len) for request in batch)
+    earliest = min((r.output_len - r.tokens_out for r in batch), default=float("inf"))
+    offsets = [r.context_len - r.shared_tokens + BLOCK_TOKENS - 1 for r in batch]
+    blocks = sum(offset // BLOCK_TOKENS for offset in offsets)
+    horizon = 4 * BLOCK_TOKENS
+    answers = {
+        "KV bytes": (profile.blocks(grants) * kv.block_bytes, live),
+        "steps to completion": (profile.steps_to_completion(grants), earliest),
+    }
+    for slack in (0, len(batch) + 1):
+        budget = blocks + slack
+        answers[f"quiet steps at slack {slack}"] = (
+            profile.quiet_steps(budget + profile.shared_blocks, grants, horizon),
+            quiet_decode_steps(offsets, budget, horizon),
+        )
+    for what, (cached, recomputed) in answers.items():
+        if cached != recomputed:
+            raise AuditError(
+                f"instance {instance.inst_id} batch profile {what} {cached} != "
+                f"recomputed {recomputed} (batch mutated past its seams?)"
+            )
+
+
 def audit_system(system: "ServingSystem") -> None:
     """Run every end-of-run conservation audit; raise AuditError on failure."""
     for executor in system.executors:
@@ -114,6 +152,10 @@ def audit_system(system: "ServingSystem") -> None:
             f"request {request.req_id} leaked: state {request.state.value} "
             "but not resident on any instance, not queued, and not migrating"
         )
+    for executor in system.executors:
+        for instance in executor.instances:
+            if instance.state is InstanceState.ACTIVE:
+                _audit_profile(instance)
 
 
 def maybe_audit(system: "ServingSystem") -> None:

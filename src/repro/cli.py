@@ -147,7 +147,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for spec in specs:
         # All specs share the workload axes, so synthesize the trace once.
         result = execute_spec(spec, workload=workload)
-        print(f"{result.report.summary_line()}  [{result.report.timing_line()}]")
+        print(f"{result.report.summary_line(spec.system)}  [{result.report.timing_line()}]")
     return 0
 
 
@@ -314,7 +314,7 @@ def _render_kv_sharing(payload: dict[str, str]) -> None:
 #: The JSON view and the text view render the same payload, so adding a
 #: kind is one row here — never another if-branch in ``cmd_list``.
 LIST_KINDS: dict[str, tuple[Callable[[], Any], Callable[[Any], None]]] = {
-    "systems": (lambda: SYSTEMS.names(), _render_names("systems")),
+    "systems": (lambda: _registry_payload(SYSTEMS), _render_names("systems")),
     "scenarios": (
         lambda: _registry_payload(SCENARIOS),
         _render_names("scenarios"),

@@ -671,14 +671,20 @@ class ServingSystem:
 
     def _finish_decode(self, instance: Instance) -> int:
         tokens = 0
+        version = instance.batch_version
         for request in list(instance.batch):
             request.record_tokens(self.sim.now)
             tokens += 1
             if request.done:
-                instance.batch.remove(request)
+                instance.leave_batch(request)
                 self._complete_request(instance, request)
         if tokens:
             instance.decode_tokens += tokens
+            instance.grants += 1
+            if instance.batch_version != version:
+                # A completion's handlers ran mid-grant, with only part
+                # of the batch granted: a profile they built is stale.
+                instance.batch_version += 1
         return tokens
 
     def release_shared_kv(self, instance: Instance, request: Request) -> None:

@@ -127,6 +127,15 @@ class MemoryOrchestrator:
     def has_instance(self, instance: Instance) -> bool:
         return instance.inst_id in self._accounts
 
+    def serving_kv_bytes(self, instance: Instance) -> Optional[int]:
+        """Planned KV bytes of an instance still serving here; None once
+        its unload is issued (or it is not here) — the per-iteration
+        watermark check's one lookup."""
+        account = self._accounts.get(instance.inst_id)
+        if account is None or account.unload_issued:
+            return None
+        return account.kv_planned
+
     # ------------------------------------------------------------------
     # Instance admission (cold start) and reclaim
     # ------------------------------------------------------------------

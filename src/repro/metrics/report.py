@@ -304,9 +304,12 @@ class RunReport:
     # ------------------------------------------------------------------
     # Presentation
     # ------------------------------------------------------------------
-    def summary_line(self) -> str:
+    def summary_line(self, system: str | None = None) -> str:
+        """One line of headline figures, labelled ``system`` (default: the
+        report's bundle name, which a parametrised system such as
+        ``neo+{C}`` shares across its variants)."""
         return (
-            f"{self.system:>12s}: req={self.total_requests:5d} "
+            f"{system or self.system:>12s}: req={self.total_requests:5d} "
             f"slo_met={self.slo_met_count:5d} ({100 * self.slo_rate:5.1f}%) "
             f"dropped={self.dropped_count:4d} "
             f"nodes(cpu/gpu)={self.avg_nodes_used_cpu:.1f}/{self.avg_nodes_used_gpu:.1f} "

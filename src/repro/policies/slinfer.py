@@ -28,7 +28,7 @@ from repro.consolidation.binpack import order_dispatch_candidates, order_nodes_b
 from repro.consolidation.preemption import plan_preemption
 from repro.core.config import SlinferConfig, SystemConfig
 from repro.engine.executor import Executor
-from repro.engine.instance import Instance, InstanceState
+from repro.engine.instance import Instance, InstanceState, overflow_step
 from repro.engine.kvcache import BLOCK_TOKENS
 from repro.hardware.node import Node as _Node
 from repro.memory.estimator import (
@@ -133,10 +133,7 @@ class SlinferPlacement(PlacementPolicy):
         self.system.publish(MemoryOpIssued(op, duration, self.system.sim.now))
 
     def unloading(self, instance: Instance) -> bool:
-        orch = self._orch(instance)
-        if not orch.has_instance(instance):
-            return True
-        return orch._accounts[instance.inst_id].unload_issued
+        return self._orch(instance).serving_kv_bytes(instance) is None
 
     # ------------------------------------------------------------------
     # Placement
@@ -555,11 +552,11 @@ class SlinferPlacement(PlacementPolicy):
         instance = event.instance
         if instance.exclusive or instance.state is not InstanceState.ACTIVE:
             return
-        if self.unloading(instance):
-            return
-        orch = self._orch(instance)
+        orch = self._orchestrators[instance.node.node_id]
+        planned = orch.serving_kv_bytes(instance)
+        if planned is None:
+            return  # unloading
         next_live = instance.live_kv_bytes() + instance.batch_size * instance.model.kv_bytes_per_token
-        planned = orch.planned_kv_bytes(instance)
         if next_live <= planned:
             return
         # Underestimation (§VII-D): try to grow again, else evict the
@@ -580,40 +577,33 @@ class SlinferPlacement(PlacementPolicy):
         ``live(j)`` the block-rounded KV footprint at context ``+j``.
         Those are the very expressions the handler evaluates (the
         instance has no prefill backlog inside a chain, so
-        ``live_kv_bytes`` reduces to the batch sum), and the footprint
-        is non-decreasing in j, making quietness monotone (the bound is
-        :func:`quiet_decode_steps`' closed form).
+        ``live_kv_bytes`` reduces to the batch's blocks), and the
+        footprint is non-decreasing in j, making quietness monotone.
+        Every footprint is a whole number of blocks, so the byte
+        comparison is the block count ``blocks(j) ≤ ⌊(planned −
+        growth)/block⌋``, answered by the batch profile
+        (:meth:`~repro.engine.instance.BatchProfile.quiet_steps`, the
+        cached form of :func:`quiet_decode_steps`).
         """
         if max_steps <= 0:
             return 0
         if instance.exclusive or instance.state is not InstanceState.ACTIVE:
             return max_steps
-        if self.unloading(instance):
-            return max_steps
-        planned = self._orch(instance).planned_kv_bytes(instance)
+        planned = self._orchestrators[instance.node.node_id].serving_kv_bytes(instance)
+        if planned is None:
+            return max_steps  # unloading
         growth = instance.batch_size * instance.model.kv_bytes_per_token
-        # Inlined from KVCache.used_bytes: every context footprint is a
-        # whole number of BLOCK_TOKENS-token blocks, so the byte
-        # comparison reduces to integer block counts — ``sum of
-        # ceil((c+steps)/BT) blocks ≤ floor((planned-growth)/block)``
-        # is the same predicate without a method call per batch member.
-        block_bytes = instance.kv.block_bytes
-        budget = (planned - growth) // block_bytes
+        budget = (planned - growth) // instance.kv.block_bytes
+        profile = instance.batch_profile()
         store = instance.kv_share
         if store is not None:
             # Sharing-aware live footprint: referenced shared blocks are a
             # fixed term inside a chain (admissions break chains), so they
             # move to the budget side; each member's growing term is its
-            # *private* tail.  Shared tokens are block-aligned, making
-            # ``ceil((c + j − s)/BT) = ceil((c + j)/BT) − s/BT`` exact.
-            budget -= store.referenced_blocks
-            offsets = [
-                request.context_len - request.shared_tokens + BLOCK_TOKENS - 1
-                for request in instance.batch
-            ]
-        else:
-            offsets = [request.context_len + BLOCK_TOKENS - 1 for request in instance.batch]
-        return quiet_decode_steps(offsets, budget, max_steps)
+            # *private* tail, its blocks minus its block-aligned shared
+            # prefix (``ceil((c + j − s)/BT) = ceil((c + j)/BT) − s/BT``).
+            budget += profile.shared_blocks - store.referenced_blocks
+        return profile.quiet_steps(budget, instance.grants, max_steps)
 
     def _evict_longest_headroom(self, instance: Instance) -> None:
         system = self.system
@@ -621,7 +611,7 @@ class SlinferPlacement(PlacementPolicy):
         if not instance.batch:
             return
         victim = max(instance.batch, key=lambda r: r.headroom(system.sim.now))
-        instance.batch.remove(victim)
+        instance.leave_batch(victim)
         system.release_shared_kv(instance, victim)
         victim.begin_migration()
         system.metrics.migrations += 1
@@ -750,20 +740,17 @@ def quiet_decode_steps(offsets: list[int], budget: int, max_steps: int) -> int:
     """Largest q ≤ ``max_steps`` with ``Σ⌊(o_i + q)/BT⌋ ≤ budget``, else 0.
 
     The closed form of the monotone block-count predicate behind
-    :meth:`SlinferPlacement.decode_chain_quiet_steps` (``o_i`` are the
-    members' ceil-shifted context offsets, BT = ``BLOCK_TOKENS``).
-    Member i's block count steps up at ``q = BT − o_i mod BT`` and every
-    BT steps after, so over the sorted crossings the n-th step-up overall
-    (0-based) lands at ``crossing[n mod B] + BT·⌊n/B⌋``.  With ``slack``
-    spare blocks at ``q = 0`` the predicate first fails at step-up number
-    ``slack``; the iteration before it is the last quiet one.
+    :meth:`SlinferPlacement.decode_chain_quiet_steps`, recomputed from
+    the members' ceil-shifted context offsets ``o_i`` (BT =
+    ``BLOCK_TOKENS``): member i's block count steps up at ``q = BT − o_i
+    mod BT`` and every BT steps after, and the predicate first fails at
+    :func:`~repro.engine.instance.overflow_step`.  The live path reads the
+    same bound from the instance's cached batch profile; this per-call
+    form is its oracle.
     """
-    slack = budget - sum(c // BLOCK_TOKENS for c in offsets)
-    if slack < 0 or max_steps <= 0:
+    if max_steps <= 0:
         return 0
-    if not offsets:
-        return max_steps
+    slack = budget - sum(c // BLOCK_TOKENS for c in offsets)
     crossings = sorted(BLOCK_TOKENS - c % BLOCK_TOKENS for c in offsets)
-    rounds, index = divmod(slack, len(crossings))
-    return min(max_steps, crossings[index] + BLOCK_TOKENS * rounds - 1)
-
+    quiet = overflow_step(crossings, slack) - 1
+    return max_steps if quiet >= max_steps else max(0, int(quiet))

@@ -446,4 +446,5 @@ class RunResult:
 
     def summary_line(self) -> str:
         origin = "cache" if self.from_cache else f"{self.wall_seconds:.2f}s"
-        return f"[{self.fingerprint[:12]}] {self.report.summary_line()}  ({origin})"
+        line = self.report.summary_line(self.spec.system)
+        return f"[{self.fingerprint[:12]}] {line}  ({origin})"

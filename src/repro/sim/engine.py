@@ -28,7 +28,12 @@ Two backends are registered:
   :class:`~repro.policies.events.DecodeChainHandler` whose
   ``quiet_steps`` admits the run (its ``fold`` replays it at the flush)
   — and every batched computation replicates the scalar float
-  expressions operation-for-operation.  Anything unproven falls back to
+  expressions operation-for-operation.  The proofs cost O(1) per chain
+  arm, not O(batch): a state is keyed by its instance's
+  ``batch_version`` and ``grants`` counters, and budgets come from the
+  instance's cached :class:`~repro.engine.instance.BatchProfile`; a
+  flush skips the per-member deadline scan when every pending step met
+  the batch's minimum deadline (``minD``).  Anything unproven falls back to
   the reference machinery, from single events up to whole runs (another
   ``IterationFinished`` subscriber, an overridden ``select``).
 * ``reference`` — delegates straight to ``Simulator.run``; zero
@@ -136,7 +141,10 @@ class _InstState:
     """Per-instance decode-chain state (one runnable instance).
 
     ``base``/``tpot``/``tok0`` are the deadline coefficients of the
-    batch members at state build (immutable thereafter); ``k`` counts
+    batch members at state build (immutable thereafter), taken at the
+    instance's ``batch_version`` ``version`` and grant count ``g0``: the
+    state describes the batch for as long as the version holds, and the
+    members then hold ``tok0 + (grants − g0)`` tokens.  ``k`` counts
     tokens granted to this batch since the state was built (absolute —
     never reset), ``done`` how many of those a flush has already
     applied, ``ts`` the pending grant timestamps.  ``minD``/``A`` are
@@ -155,6 +163,8 @@ class _InstState:
     __slots__ = (
         "instance",
         "reqs",
+        "version",
+        "g0",
         "B",
         "base",
         "tpot",
@@ -179,11 +189,11 @@ class _ExecChain:
     __slots__ = ("executor", "states", "pending", "handle", "lat", "alive", "handlers")
 
 
-def _quiet_budget(instance, reqs, handlers) -> int:
+def _quiet_budget(instance, handlers) -> int:
     """Steps a chain may take: one short of the earliest completion (the
     completing iteration runs scalar), clipped by every handler's quiet
     steps (e.g. the watermark check staying a no-op)."""
-    cap = min(r.output_len - r.tokens_out for r in reqs) - 1
+    cap = instance.batch_profile().steps_to_completion(instance.grants) - 1
     for handler in handlers:
         if cap <= 0:
             break
@@ -479,7 +489,10 @@ class VectorizedEngine(EngineBackend):
         A resume is tried first, of the flushed-out chain the handle
         still points at or, for a fresh candidate, of the executor's
         parked chain: if nothing observable changed, its precomputed
-        tables are revived with fresh budgets instead of being rebuilt.
+        tables are revived with fresh budgets instead of being rebuilt —
+        and if the revived pending budget is spent, a rebuild would find
+        the same budget (same instance, same handlers, same world), so
+        no chain is armed.
         """
         handlers = self._classify()
         if handlers is None:
@@ -498,9 +511,11 @@ class VectorizedEngine(EngineBackend):
                 return None
         prior = handle.chain if handle.chain is not _CANDIDATE else self._parked.get(executor)
         if prior is not None:
-            chain = self._resume(prior, handle, runnable, instance, batch_size, handlers)
-            if chain is not None:
-                return chain
+            pending = self._resume(prior, runnable, instance, batch_size, handlers)
+            if pending is not None:
+                if pending.budget <= pending.k:
+                    return None
+                return self._arm(prior.states, pending, executor, handle, handlers)
         perf = system.perf
         states: list[_InstState] = []
         pending = None
@@ -517,57 +532,39 @@ class VectorizedEngine(EngineBackend):
             return None
         return self._arm(states, pending, executor, handle, handlers)
 
-    def _resume(
-        self, dead, handle, runnable, instance, batch_size, handlers
-    ) -> Optional[_ExecChain]:
-        """Revive a flushed chain whose world did not change.
+    def _resume(self, dead, runnable, instance, batch_size, handlers) -> Optional[_InstState]:
+        """Revive a flushed chain's states if their world did not change.
 
         The caller has screened out pending prefills and empty batches.
-        Valid when the runnable set and every batch's membership are
-        identical (same objects, same order) to the dead chain's: the
-        requests' deadline coefficients are immutable, and token counts
-        either evolved through this chain's own flushes or — for a
-        *parked* chain whose scalar interlude ran whole iterations (the
-        detach + watermark-rescale cycle) — advanced uniformly across
-        the batch, in which case the absolute step index is rebased by
-        that uniform delta and the ``minD`` / ``A`` tables (functions of
-        steps-since-build) remain exact.  Budgets are re-derived — the
-        interrupting event may have changed completions-ahead or the
-        handlers' quiet steps.
+        Valid when the runnable set is identical (same objects, same
+        order) to the dead chain's and no batch was joined or left since
+        its state was built (``batch_version`` unchanged): the requests'
+        deadline coefficients are immutable, and every grant since —
+        this chain's own flushes or, for a *parked* chain, the whole
+        scalar iterations of its interlude (the detach + watermark-
+        rescale cycle) — gave every member one token, so the absolute
+        step index is rebased by ``delta = grants − g0 − done`` and the
+        ``minD`` / ``A`` tables (functions of steps-since-build) remain
+        exact.  Budgets are re-derived — the interrupting event may have
+        changed completions-ahead or the handlers' quiet steps.  Returns
+        the pending state (``instance``'s), or None when the world
+        changed.
         """
         states = dead.states
         if len(states) != len(runnable):
             return None
         pending = None
         for st, inst in zip(states, runnable):
-            if st.instance is not inst:
+            if st.instance is not inst or st.version != inst.batch_version:
                 return None
-            batch = inst.batch
-            reqs = st.reqs
-            if len(batch) != len(reqs):
-                return None
-            for held, member in zip(reqs, batch):
-                if held is not member:
-                    return None
             if inst is instance:
-                if len(batch) != batch_size:
+                if len(inst.batch) != batch_size:
                     return None
                 pending = st
         if pending is None:
             return None
-        deltas = []
         for st in states:
-            tok0 = st.tok0
-            done = st.done
-            delta = st.reqs[0].tokens_out - tok0[0] - done
-            if delta < 0:
-                return None
-            if delta:
-                for i, r in enumerate(st.reqs):
-                    if tok0[i] + done + delta != r.tokens_out:
-                        return None
-            deltas.append(delta)
-        for st, delta in zip(states, deltas):
+            delta = st.instance.grants - st.g0 - st.done
             if delta:
                 st.done = st.k = st.done + delta
                 if st.k >= len(st.minD):
@@ -576,10 +573,8 @@ class VectorizedEngine(EngineBackend):
                     # restore the len > k invariant here (the burst loop
                     # only back-fills the pending state).
                     self._fill_tables(st, st.k + 1)
-            st.budget = st.k + _quiet_budget(st.instance, st.reqs, handlers)
-        if pending.budget <= pending.k:
-            return None
-        return self._arm(states, pending, dead.executor, handle, handlers)
+            st.budget = st.k + _quiet_budget(st.instance, handlers)
+        return pending
 
     def _arm(self, states, pending, executor, handle, handlers) -> _ExecChain:
         chain = _ExecChain()
@@ -601,6 +596,8 @@ class VectorizedEngine(EngineBackend):
         st = _InstState()
         st.instance = inst
         st.reqs = reqs = list(batch)
+        st.version = inst.batch_version
+        st.g0 = inst.grants
         # Deadline coefficients straight from the requests, as the exact
         # partial sums of Request.next_token_deadline.
         base = st.base = [r.deadline_base for r in reqs]
@@ -616,7 +613,7 @@ class VectorizedEngine(EngineBackend):
         st.mul = kernel.slowdown
         st.den = kernel.denom
         st.S0 = sum(r.context_len for r in reqs)
-        st.budget = cap = _quiet_budget(inst, reqs, handlers)
+        st.budget = cap = _quiet_budget(inst, handlers)
         st.minD = array("d")
         st.A = array("d")
         self._fill_tables(st, min(max(cap, 0), _TABLE_SEED) + 1)
@@ -677,47 +674,67 @@ class VectorizedEngine(EngineBackend):
 
     def _flush_state(self, st: _InstState, executor, handlers) -> None:
         m = st.k - st.done
-        done = st.done
-        ts = st.ts
-        first_ts = ts[0]
-        # Batched replication of m record_tokens sweeps: deadline
-        # D[i, j] = base_i + tpot_i * (tok0_i + done + j) for steps
-        # j < m (token counts are absolute from state build), the same
-        # two float ops as the scalar property; violation test
-        # ts_j > D + eps with pre-increment token counts.  Small flushes
-        # (the common case) run the identical expressions as Python
-        # loops — NumPy's call overhead dwarfs the work below _VECTOR_MIN.
-        if m * st.B >= _VECTOR_MIN:
-            base = np.array(st.base)
-            tpot = np.array(st.tpot)
-            tok0 = np.array(st.tok0, dtype=np.int64) + done
-            deadlines = base[:, None] + tpot[:, None] * (tok0[:, None] + np.arange(m))
-            violated = np.asarray(ts)[None, :] > deadlines + EPS
-            has_violation = violated.any(axis=1)
-            first_violation = violated.argmax(axis=1)
-            for i, request in enumerate(st.reqs):
-                if request.violation_at is None and has_violation[i]:
-                    request.violation_at = ts[first_violation[i]]
-                if request.first_token_at is None:
-                    request.first_token_at = first_ts
-                request.tokens_out += m
-        else:
-            for i, request in enumerate(st.reqs):
-                if request.violation_at is None:
-                    base = st.base[i]
-                    tpot = st.tpot[i]
-                    tok = st.tok0[i] + done
-                    for j in range(m):
-                        if ts[j] > base + tpot * (tok + j) + EPS:
-                            request.violation_at = ts[j]
-                            break
-                if request.first_token_at is None:
-                    request.first_token_at = first_ts
-                request.tokens_out += m
-        st.instance.iterations += m
-        st.instance.decode_tokens += st.B * m
+        first_ts = st.ts[0]
+        _mark_late(st)
+        for request in st.reqs:
+            if request.first_token_at is None:
+                request.first_token_at = first_ts
+            request.tokens_out += m
+        instance = st.instance
+        instance.grants += m
+        instance.iterations += m
+        instance.decode_tokens += st.B * m
         executor.iterations += m
         for handler in handlers:
-            handler.fold(st.instance, st.B, m)
+            handler.fold(instance, st.B, m)
         st.done = st.k
         st.ts = []
+
+
+def _mark_late(st: _InstState) -> None:
+    """Set ``violation_at`` for the members ``st``'s pending grants made late.
+
+    Batched replication of the m = k − done pending ``record_tokens``
+    sweeps, at the timestamps ``ts``: member i's deadline at step j < m
+    is ``base_i + tpot_i·(tok0_i + done + j)`` (token counts are absolute
+    from state build), the same two float ops as the scalar property,
+    and the violation test is ``ts_j > deadline + EPS`` with
+    pre-increment token counts.
+
+    Screen first: ``minD[done + j]`` is the minimum of those very
+    deadlines, and ``x ↦ fl(x + EPS)`` is monotone, so a step that meets
+    ``minD`` makes no member late; when every step does, the per-member
+    scan is skipped.  Small scans (the common case) run the identical
+    expressions as Python loops — NumPy's call overhead dwarfs the work
+    below _VECTOR_MIN.
+    """
+    ts = st.ts
+    done = st.done
+    m = st.k - done
+    for t, earliest in zip(ts, st.minD[done : done + m]):
+        if t > earliest + EPS:
+            break
+    else:
+        return
+    reqs = st.reqs
+    if m * st.B >= _VECTOR_MIN:
+        base = np.array(st.base)
+        tpot = np.array(st.tpot)
+        tok0 = np.array(st.tok0, dtype=np.int64) + done
+        deadlines = base[:, None] + tpot[:, None] * (tok0[:, None] + np.arange(m))
+        violated = np.asarray(ts)[None, :] > deadlines + EPS
+        has_violation = violated.any(axis=1)
+        first_violation = violated.argmax(axis=1)
+        for i, request in enumerate(reqs):
+            if request.violation_at is None and has_violation[i]:
+                request.violation_at = ts[first_violation[i]]
+        return
+    for i, request in enumerate(reqs):
+        if request.violation_at is None:
+            base = st.base[i]
+            tpot = st.tpot[i]
+            tok = st.tok0[i] + done
+            for j in range(m):
+                if ts[j] > base + tpot * (tok + j) + EPS:
+                    request.violation_at = ts[j]
+                    break

@@ -118,7 +118,7 @@ class TestCorruptionDetected:
         ghost = _fresh_request()
         ghost.state = RequestState.COMPLETED
         stray = _fresh_instance()
-        stray.batch.append(ghost)
+        stray.admit_to_batch(ghost)
         system.executors[0].add_instance(stray)
         with pytest.raises(AuditError, match="still resident"):
             audit_system(system)
@@ -128,8 +128,8 @@ class TestCorruptionDetected:
         ghost = _fresh_request()
         ghost.state = RequestState.DECODING
         twin_a, twin_b = _fresh_instance(901), _fresh_instance(902)
-        twin_a.batch.append(ghost)
-        twin_b.batch.append(ghost)
+        twin_a.admit_to_batch(ghost)
+        twin_b.admit_to_batch(ghost)
         system.executors[0].add_instance(twin_a)
         system.executors[0].add_instance(twin_b)
         with pytest.raises(AuditError, match="resident on two instances"):

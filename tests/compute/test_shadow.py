@@ -203,7 +203,7 @@ def _live_instance(draw):
             pending.begin_migration()
         instance.prefill_pending.append(pending)
     for idx in range(draw(st.integers(0, 12))):
-        instance.batch.append(draw(_live_request(100 + idx, st.integers(1, 300))))
+        instance.admit_to_batch(draw(_live_request(100 + idx, st.integers(1, 300))))
     return instance
 
 

@@ -163,7 +163,7 @@ def _live_instance(draw, inst_id):
     floor = draw(st.sampled_from([-0.01, 0.05, 0.5, 3.0]))
     size = draw(st.sampled_from([0, 1, 3, 8, 20, 40]))
     for idx in range(size):
-        instance.batch.append(draw(_live_request(100 + idx, st.integers(1, 500), floor)))
+        instance.admit_to_batch(draw(_live_request(100 + idx, st.integers(1, 500), floor)))
     return instance
 
 
@@ -229,7 +229,8 @@ def test_joins_after_the_tables_have_grown_twice(monkeypatch):
     for size in (2, 30):  # both sides of the NumPy cut-over
         instance = Instance(inst_id=0, deployment="d", model=LLAMA2_7B, node=_NODE)
         instance.state = InstanceState.ACTIVE
-        instance.batch.extend(_steady_batch(size))
+        for member in _steady_batch(size):
+            instance.admit_to_batch(member)
         instance.prefill_pending.append(_request(1, 12.0, 0.25, 0, 256))
         for soft in (0, 30):
             new = _request(999, 14.0, 0.1, soft, 1024)
@@ -253,7 +254,7 @@ def test_late_hard_member_deep_in_the_tables(size, headroom):
     instance = Instance(inst_id=0, deployment="d", model=LLAMA2_7B, node=_NODE)
     instance.state = InstanceState.ACTIVE
     for idx in range(size):
-        instance.batch.append(_request(100 + idx, headroom + 0.001 * idx, 0.012, 10, 512))
+        instance.admit_to_batch(_request(100 + idx, headroom + 0.001 * idx, 0.012, 10, 512))
     new = _request(999, 60.0, 0.25, 0, 512)
     got, want, _ = _both([instance], new, 0, [_PERFS[0], _PERFS[0]], 0.0, _NOW, 5.0, 1000)
     assert got is want

@@ -48,11 +48,11 @@ def run_lifecycle(store: KvShareStore, request: Request) -> None:
     store.instance.prefill_pending.append(request)
     store.commit(request)
     store.instance.prefill_pending.remove(request)
-    store.instance.batch.append(request)
+    store.instance.admit_to_batch(request)
 
 
 def finish(store: KvShareStore, request: Request) -> None:
-    store.instance.batch.remove(request)
+    store.instance.leave_batch(request)
     store.release(request)
 
 
@@ -70,7 +70,7 @@ def test_first_request_misses_then_prefix_hits():
     store.commit(first)
     assert first.shared_tokens == sys_len  # promoted blocks now shared
     store.instance.prefill_pending.remove(first)
-    store.instance.batch.append(first)
+    store.instance.admit_to_batch(first)
 
     second = make_request(2, sys_len + 24, "sys:128", sys_len)
     store.admit(second)
@@ -214,7 +214,7 @@ def test_clear_forgets_tables_and_cache():
     store = make_store()
     request = make_request(1, 256, "sys:128", 128)
     run_lifecycle(store, request)
-    store.instance.batch.remove(request)
+    store.instance.leave_batch(request)
     store.clear()
     assert store.pool.allocated_blocks == 0
     assert store.referenced_blocks == 0

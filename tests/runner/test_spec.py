@@ -208,3 +208,18 @@ def test_execute_spec_applies_config_like_a_hand_built_system():
     )
     assert by_spec.to_dict(include_volatile=False) == by_hand.to_dict(include_volatile=False)
     assert by_spec.avg_nodes_used_cpu == 0.0
+
+
+def test_summary_line_names_the_parametrised_system():
+    # Every neo+{C} report carries the bundle name "neo+"; the sweep's
+    # summary line must still tell the variants apart.
+    from repro.runner import execute_spec
+
+    results = [
+        execute_spec(RunSpec(system=system, n_models=2, duration=30.0))
+        for system in ("neo+8", "neo+16")
+    ]
+    assert {result.report.system for result in results} == {"neo+"}
+    lines = [result.summary_line() for result in results]
+    assert lines[0] != lines[1]
+    assert "neo+8:" in lines[0] and "neo+16:" in lines[1]

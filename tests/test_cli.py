@@ -196,7 +196,8 @@ def test_list_json_all_covers_every_kind(capsys):
         "clusters", "models", "hardware", "policies", "federations",
     }
     assert "wan4" in payload["federations"]["names"]
-    assert "slinfer" in payload["systems"]
+    assert "slinfer" in payload["systems"]["names"]
+    assert any(p["form"] == "neo+{C}" for p in payload["systems"]["patterns"])
     assert payload["policies"]["bundles"]["slinfer"]["placement"] == "slinfer"
 
 
