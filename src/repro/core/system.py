@@ -592,7 +592,6 @@ class ServingSystem:
         if instance.keepalive_handle is not None:
             instance.keepalive_handle.cancel()
             instance.keepalive_handle = None
-        instance.idle_since = None
         if instance.state is InstanceState.ACTIVE:
             self._kick(self.executor_for(instance))
 
@@ -636,12 +635,10 @@ class ServingSystem:
 
     def _finish_iteration(self, executor: Executor, item: WorkItem, batch_size: int) -> None:
         executor.busy = False
-        executor.iterations += 1
         instance = item.instance
         if instance.state is InstanceState.UNLOADED:
             self._kick(executor)
             return
-        instance.iterations += 1
         if item.is_prefill:
             self._finish_prefill(instance, item.request)
             decode_tokens = 0
@@ -679,7 +676,6 @@ class ServingSystem:
                 instance.leave_batch(request)
                 self._complete_request(instance, request)
         if tokens:
-            instance.decode_tokens += tokens
             instance.grants += 1
             if instance.batch_version != version:
                 # A completion's handlers ran mid-grant, with only part
@@ -707,7 +703,6 @@ class ServingSystem:
     # Keep-alive
     # ------------------------------------------------------------------
     def _instance_went_idle(self, instance: Instance) -> None:
-        instance.idle_since = self.sim.now
         instance.keepalive_handle = self.sim.schedule(
             self.policies.reclaim.keepalive_seconds(self, instance),
             self._keepalive_expired,

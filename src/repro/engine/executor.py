@@ -24,7 +24,6 @@ class Executor:
     instances: list[Instance] = field(default_factory=list, repr=False)
     busy: bool = False
     busy_until: float = 0.0
-    iterations: int = 0
 
     @property
     def is_cpu(self) -> bool:

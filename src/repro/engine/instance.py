@@ -145,10 +145,7 @@ class Instance:
     prefill_pending: deque[Request] = field(default_factory=deque, repr=False)
     batch: list[Request] = field(default_factory=list, repr=False)
     kv: KVCache = field(init=False, repr=False)
-    idle_since: Optional[float] = None
     keepalive_handle: object = None  # EventHandle, owned by the system
-    iterations: int = 0
-    decode_tokens: int = 0
     #: prefix-sharing block map (``repro.kv``); None unless the run set
     #: ``kv_sharing="on"`` — the default path never touches it.
     kv_share: "Optional[KvShareStore]" = field(default=None, repr=False)

@@ -6,8 +6,8 @@ Two families:
   functions of the deployment name, so the whole partition is known
   before the first event.  Shards then exchange no boundary messages at
   all — each shard's lookahead is the entire horizon and the epoch
-  ladder collapses to one window (see
-  :class:`~repro.federation.spec.Federation.is_static`).
+  ladder collapses to one window (the null-message optimization of
+  conservative PDES).  :attr:`GlobalRouter.dynamic` is the flag.
 
 * **Dynamic** routers (``least-loaded``) decide per request from shard
   load telemetry, which is only coherent at epoch barriers: the

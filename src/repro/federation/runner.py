@@ -30,9 +30,12 @@ byte-identical across repetitions *and* worker counts.
 
 **Process model.**  ``workers`` (default ``REPRO_WORKERS``) bounds the
 process count: ``min(shards, workers)`` hosts, shards dealt round-robin.
-A single worker keeps every shard in-process (no subprocesses at all);
-more workers run each host as a ``multiprocessing`` child speaking the
-:class:`ShardRunner` command protocol over a pipe.
+Every host speaks one protocol — ``send(command)`` then ``recv()`` —
+and :meth:`InProcessHost.send` is the only code that turns a command
+into :class:`ShardRunner` calls.  A single worker is one
+:class:`InProcessHost` (no subprocesses at all); more workers make each
+host a :class:`PipeHost`, a ``multiprocessing`` child that runs an
+``InProcessHost`` and relays every command and reply over its pipe.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import traceback
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from typing import Any, NoReturn, Optional, Sequence
 
@@ -95,8 +98,7 @@ class ShardRunner:
     decode chaining.
     """
 
-    def __init__(self, shard_id: int, spec: RunSpec, workload) -> None:
-        self.shard_id = shard_id
+    def __init__(self, spec: RunSpec, workload) -> None:
         self.system = build_system(spec)
         self.arrived = 0
         self.completed = 0
@@ -120,10 +122,6 @@ class ShardRunner:
     def horizon(self) -> Optional[float]:
         return self.system.run_horizon
 
-    @property
-    def in_flight(self) -> int:
-        return self.arrived - self.completed - self.dropped
-
     def deliver(self, specs: Sequence[RequestSpec]) -> None:
         for spec in specs:
             self.system.inject_arrival(spec)
@@ -143,6 +141,16 @@ class ShardRunner:
         return self.finish()
 
 
+def _whole_trace(federation: Federation, router: GlobalRouter) -> bool:
+    """Whether each shard ingests its own slice of the trace stream.
+
+    True for static routers, and for a 1-shard federation whatever the
+    router, so that one shard is the unsharded run by construction;
+    otherwise the controller routes every arrival at the epoch barriers.
+    """
+    return federation.shards == 1 or not router.dynamic
+
+
 def _build_runners(
     spec: RunSpec,
     federation: Federation,
@@ -152,42 +160,42 @@ def _build_runners(
 ) -> dict[int, ShardRunner]:
     """Construct this host's shard runners over one trace stream.
 
-    Static routers give each shard a lazy slice of the (locally
-    re-synthesized, seeded) full trace stream; the dynamic router gives
-    every shard the full deployment set with an empty preload — its
+    Whole-trace shards get a lazy slice of the (locally re-synthesized,
+    seeded) full trace stream — the whole stream at one shard; routed
+    shards get the full deployment set with an empty preload — their
     arrivals come from the controller, which may pass the workload it
-    already materialized.  A 1-shard federation always takes the static
-    whole-trace path, so it is the unsharded run by construction,
-    whatever the router.
+    already materialized (and checked for a bounded horizon).
     """
     trace = workload if workload is not None else build_workload_stream(spec)
     if federation.shards == 1:
-        return {0: ShardRunner(0, spec, trace)}
-    if federation.is_static:
+        return {0: ShardRunner(spec, trace)}
+    if _whole_trace(federation, router):
         assignment = router.assign(trace.deployments)
         return {
-            shard_id: ShardRunner(shard_id, spec, shard_stream(trace, assignment, shard_id))
+            shard_id: ShardRunner(spec, shard_stream(trace, assignment, shard_id))
             for shard_id in shard_ids
         }
-    if trace.duration is None:
-        raise ValueError(
-            "dynamic federation routing needs a bounded workload horizon "
-            "(workload.duration is None)"
-        )
     empty = Workload(
         name=f"{trace.name}#fed",
         deployments=dict(trace.deployments),
         requests=[],
         duration=trace.duration,
     )
-    return {shard_id: ShardRunner(shard_id, spec, empty) for shard_id in shard_ids}
+    return {shard_id: ShardRunner(spec, empty) for shard_id in shard_ids}
 
 
 # ----------------------------------------------------------------------
 # Hosts: the controller's view of a group of shards
 # ----------------------------------------------------------------------
 class InProcessHost:
-    """All of this host's shards running in the controller process."""
+    """A group of shards running in this process.
+
+    :meth:`send` is the one place a command becomes :class:`ShardRunner`
+    calls: ``("deliver", {shard: specs})`` injects routed arrivals and
+    queues no reply; ``("advance", until)``, ``("run", None)`` and
+    ``("finish", None)`` step every shard and queue one reply, keyed by
+    shard id, for :meth:`recv`.
+    """
 
     def __init__(
         self,
@@ -198,55 +206,48 @@ class InProcessHost:
         workload: Optional[Workload] = None,
     ) -> None:
         self.shard_ids = list(shard_ids)
-        self.runners = _build_runners(spec, federation, router, shard_ids, workload)
+        self._runners = _build_runners(spec, federation, router, shard_ids, workload)
+        self.horizons = {sid: runner.horizon for sid, runner in self._runners.items()}
+        self._replies: deque[dict[int, Any]] = deque()
 
-    def horizons(self) -> dict[int, Optional[float]]:
-        return {sid: runner.horizon for sid, runner in self.runners.items()}
+    def send(self, command: tuple) -> None:
+        op, arg = command
+        runners = self._runners
+        if op == "deliver":
+            for sid, specs in arg.items():
+                runners[sid].deliver(specs)
+            return
+        if op == "advance":
+            reply = {sid: runner.advance(arg) for sid, runner in runners.items()}
+        elif op == "run":
+            reply = {sid: runner.run() for sid, runner in runners.items()}
+        elif op == "finish":
+            reply = {sid: runner.finish() for sid, runner in runners.items()}
+        else:
+            raise ValueError(f"unknown shard command {op!r}")
+        self._replies.append(reply)
 
-    def deliver(self, by_shard: dict[int, list[RequestSpec]]) -> None:
-        for sid, specs in by_shard.items():
-            self.runners[sid].deliver(specs)
-
-    def advance(self, until: Optional[float]) -> dict[int, tuple[int, int, int]]:
-        return {sid: runner.advance(until) for sid, runner in self.runners.items()}
-
-    def run_all(self) -> dict[int, dict[str, Any]]:
-        return {sid: runner.run() for sid, runner in self.runners.items()}
-
-    def finish(self) -> dict[int, dict[str, Any]]:
-        return {sid: runner.finish() for sid, runner in self.runners.items()}
+    def recv(self) -> dict[int, Any]:
+        return self._replies.popleft()
 
     def close(self, graceful: bool = True) -> None:
         pass
 
 
 def _shard_worker_main(conn, spec_payload: dict, shard_ids: list[int]) -> None:
-    """Child-process entry point: serve ShardRunner commands off the pipe."""
+    """Child-process entry point: relay pipe commands to an in-process host."""
     try:
         spec = RunSpec.from_dict(spec_payload)
         federation = resolve_federation(spec.federation)
-        router = make_router(federation)
-        runners = _build_runners(spec, federation, router, shard_ids)
-        conn.send(("ok", {sid: runner.horizon for sid, runner in runners.items()}))
+        host = InProcessHost(spec, federation, make_router(federation), shard_ids)
+        conn.send(("ok", host.horizons))
         while True:
             command = conn.recv()
-            op = command[0]
-            if op == "deliver":
-                for sid, specs in command[1].items():
-                    runners[sid].deliver(specs)
-                continue  # no reply: the next barrier reply confirms
-            if op == "advance":
-                conn.send(
-                    ("ok", {sid: runner.advance(command[1]) for sid, runner in runners.items()})
-                )
-            elif op == "run":
-                conn.send(("ok", {sid: runner.run() for sid, runner in runners.items()}))
-            elif op == "finish":
-                conn.send(("ok", {sid: runner.finish() for sid, runner in runners.items()}))
-            elif op == "exit":
+            if command[0] == "exit":
                 return
-            else:
-                raise ValueError(f"unknown shard command {op!r}")
+            host.send(command)
+            while host._replies:
+                conn.send(("ok", host.recv()))
     except EOFError:
         return
     except BaseException:
@@ -262,12 +263,11 @@ def _shard_worker_main(conn, spec_payload: dict, shard_ids: list[int]) -> None:
 class PipeHost:
     """A group of shards behind one ``multiprocessing`` worker.
 
-    The pipe protocol mirrors :class:`InProcessHost` call for call;
+    The worker runs an :class:`InProcessHost` and relays each command
+    and reply over the pipe, so both host kinds speak one protocol;
     requests cross as pickled :class:`RequestSpec` and reports as their
-    ``to_dict`` payloads, so results are independent of which host kind
-    ran a shard.  ``send_*``/``recv_*`` split lets the controller issue
-    a command to every host before collecting any reply — the only
-    process-level parallelism a federated run has.
+    ``to_dict`` payloads.  A dead worker, or one that replies with an
+    error, raises :class:`ShardWorkerError` naming its shards.
     """
 
     def __init__(self, spec: RunSpec, shard_ids: Sequence[int]) -> None:
@@ -281,15 +281,15 @@ class PipeHost:
         )
         self.process.start()
         child.close()
-        self._initial_horizons = self._recv()
+        self.horizons: dict[int, Optional[float]] = self.recv()
 
-    def _send(self, command: tuple) -> None:
+    def send(self, command: tuple) -> None:
         try:
             self.conn.send(command)
         except OSError:  # BrokenPipeError, ConnectionResetError: worker gone
             self._fail("died")
 
-    def _recv(self):
+    def recv(self) -> Any:
         try:
             status, payload = self.conn.recv()
         except (EOFError, OSError):
@@ -305,41 +305,11 @@ class PipeHost:
             f"(exit code {self.process.exitcode}) {what}"
         )
 
-    def horizons(self) -> dict[int, Optional[float]]:
-        return self._initial_horizons
-
-    def deliver(self, by_shard: dict[int, list[RequestSpec]]) -> None:
-        self._send(("deliver", by_shard))
-
-    def send_advance(self, until: Optional[float]) -> None:
-        self._send(("advance", until))
-
-    def advance(self, until: Optional[float]) -> dict[int, tuple[int, int, int]]:
-        self.send_advance(until)
-        return self._recv()
-
-    def send_run(self) -> None:
-        self._send(("run",))
-
-    def run_all(self) -> dict[int, dict[str, Any]]:
-        self.send_run()
-        return self._recv()
-
-    def send_finish(self) -> None:
-        self._send(("finish",))
-
-    def finish(self) -> dict[int, dict[str, Any]]:
-        self.send_finish()
-        return self._recv()
-
-    def recv_reply(self):
-        return self._recv()
-
     def close(self, graceful: bool = True) -> None:
         """Stop the worker: ask it to exit, or (after a failure) kill it."""
         if graceful:
             try:
-                self.conn.send(("exit",))
+                self.conn.send(("exit", None))
             except OSError:
                 pass
             self.process.join(timeout=30.0)
@@ -357,6 +327,29 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
+def _exchange(
+    hosts: Sequence[InProcessHost | PipeHost],
+    command: tuple,
+    routed: Optional[dict[int, list[RequestSpec]]] = None,
+) -> dict[int, Any]:
+    """Send ``command`` to every host, then collect every reply.
+
+    Issuing to all hosts before collecting any reply is the only
+    process-level parallelism a federated run has.  ``routed`` arrivals
+    are delivered to their shards' hosts ahead of the command.
+    """
+    for host in hosts:
+        if routed:
+            owned = {sid: routed[sid] for sid in host.shard_ids if sid in routed}
+            if owned:
+                host.send(("deliver", owned))
+        host.send(command)
+    replies: dict[int, Any] = {}
+    for host in hosts:
+        replies.update(host.recv())
+    return replies
+
+
 # ----------------------------------------------------------------------
 # The controller
 # ----------------------------------------------------------------------
@@ -368,8 +361,8 @@ def run_federation(
     """Execute ``spec`` across its federation's shards and merge.
 
     ``workers`` caps the process count (``None`` = ``REPRO_WORKERS``);
-    shard *results* are independent of it.  Static shards ingest lazy
-    slices of the trace stream; the dynamic router materializes the
+    shard *results* are independent of it.  Whole-trace shards ingest
+    lazy slices of the trace stream; the dynamic router materializes the
     trace in the controller, because routing scans the full list.
     """
     if spec.federation is None:
@@ -380,16 +373,16 @@ def run_federation(
     processes = min(federation.shards, worker_cap)
     shard_ids = list(range(federation.shards))
 
-    static = federation.is_static or federation.shards == 1
+    whole_trace = _whole_trace(federation, router)
     controller_workload: Optional[Workload] = None
-    if not static:
+    if not whole_trace:
         controller_workload = build_workload(spec)
         if controller_workload.duration is None:
             raise ValueError(
                 "dynamic federation routing needs a bounded workload horizon"
             )
 
-    hosts: list[Any]
+    hosts: list[InProcessHost | PipeHost]
     if processes <= 1:
         hosts = [
             InProcessHost(spec, federation, router, shard_ids, workload=controller_workload)
@@ -399,9 +392,9 @@ def run_federation(
 
     finished = False
     try:
-        if static:
-            report_dicts, epochs = _run_static(hosts)
-            kv_migrations = 0
+        if whole_trace:
+            # Full lookahead: every shard runs its slice to the end.
+            report_dicts, epochs, kv_migrations = _exchange(hosts, ("run", None)), 1, 0
         else:
             assert controller_workload is not None
             report_dicts, epochs, kv_migrations = _run_dynamic(
@@ -428,22 +421,8 @@ def run_federation(
     )
 
 
-def _run_static(hosts: list) -> tuple[dict[int, dict], int]:
-    """Full-lookahead execution: every shard runs its slice to the end."""
-    report_dicts: dict[int, dict] = {}
-    pipe_hosts = [host for host in hosts if isinstance(host, PipeHost)]
-    for host in pipe_hosts:  # issue before collecting: hosts run concurrently
-        host.send_run()
-    for host in hosts:
-        if isinstance(host, PipeHost):
-            report_dicts.update(host.recv_reply())
-        else:
-            report_dicts.update(host.run_all())
-    return report_dicts, 1
-
-
 def _run_dynamic(
-    hosts: list,
+    hosts: Sequence[InProcessHost | PipeHost],
     federation: Federation,
     router: GlobalRouter,
     workload: Workload,
@@ -463,10 +442,9 @@ def _run_dynamic(
     delta = federation.resolved_epoch()
     duration = workload.duration
     assert duration is not None
-    shard_horizon: Optional[float] = None
-    for host in hosts:
-        for horizon in host.horizons().values():
-            shard_horizon = horizon  # identical across shards by construction
+    # Every shard hosts the same deployments over the same trace, so
+    # their run horizons are identical by construction.
+    shard_horizon = next(iter(hosts[0].horizons.values()))
 
     in_flight = [0] * shards
     prefix_home: dict[str, int] = {}
@@ -493,43 +471,14 @@ def _run_dynamic(
             routed[shard].append(replace(request, arrival=request.arrival + latency))
             estimate[shard] += 1
             index += 1
-        summaries: dict[int, tuple[int, int, int]] = {}
-        pipe_hosts = [host for host in hosts if isinstance(host, PipeHost)]
-        for host in pipe_hosts:
-            owned = {sid: routed[sid] for sid in host.shard_ids if sid in routed}
-            if owned:
-                host.deliver(owned)
-            host.send_advance(barrier)
-        for host in hosts:
-            if isinstance(host, PipeHost):
-                summaries.update(host.recv_reply())
-            else:
-                owned = {sid: routed[sid] for sid in host.shard_ids if sid in routed}
-                if owned:
-                    host.deliver(owned)
-                summaries.update(host.advance(barrier))
+        summaries = _exchange(hosts, ("advance", barrier), routed)
         for shard_id, (arrived, completed, dropped) in summaries.items():
             in_flight[shard_id] = arrived - completed - dropped
         now = barrier
 
     # Drain: one final window to the shards' (uniform) run horizon.
-    report_dicts: dict[int, dict] = {}
-    pipe_hosts = [host for host in hosts if isinstance(host, PipeHost)]
-    for host in pipe_hosts:
-        host.send_advance(shard_horizon)
-    for host in hosts:
-        if isinstance(host, PipeHost):
-            host.recv_reply()
-        else:
-            host.advance(shard_horizon)
-    for host in pipe_hosts:
-        host.send_finish()
-    for host in hosts:
-        if isinstance(host, PipeHost):
-            report_dicts.update(host.recv_reply())
-        else:
-            report_dicts.update(host.finish())
-    return report_dicts, epochs + 1, kv_migrations
+    _exchange(hosts, ("advance", shard_horizon))
+    return _exchange(hosts, ("finish", None)), epochs + 1, kv_migrations
 
 
 def execute_federated(

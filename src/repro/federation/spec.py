@@ -102,17 +102,6 @@ class Federation:
         """The sync window Δ actually used by the epoch ladder."""
         return self.epoch if self.epoch is not None else self.min_latency
 
-    @property
-    def is_static(self) -> bool:
-        """Whether routing is a pure function of the deployment name.
-
-        Static routers partition deployments up front and exchange *no*
-        boundary messages, so every shard's lookahead extends to the
-        whole horizon — the epoch ladder collapses to a single window
-        (the null-message optimization of conservative PDES).
-        """
-        return self.router in ("round-robin", "sticky-session")
-
 
 def resolve_federation(name: str) -> Federation:
     """Federation by exact name or pattern (``fleet4``, ``sticky2``, ...)."""

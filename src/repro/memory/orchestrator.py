@@ -84,20 +84,17 @@ class MemoryOrchestrator:
         sim: Simulator,
         node: Node,
         listener: OrchestratorListener,
-        loader_bytes_per_s: Optional[float] = None,
+        topology: Topology,
         on_op_metric: Optional[Callable[[MemoryOp, float], None]] = None,
-        topology: Optional[Topology] = None,
     ) -> None:
         self.sim = sim
         self.node = node
         self.listener = listener
         self.capacity = node.memory_bytes
-        self.loader_bytes_per_s = loader_bytes_per_s or node.spec.loader_bytes_per_s
         self.on_op_metric = on_op_metric
-        # Loads stream over the topology's load route (and contend for
-        # its shared links) when a topology is wired in; an explicit
-        # ``loader_bytes_per_s`` override keeps the flat-constant path.
-        self.topology = topology if loader_bytes_per_s is None else None
+        # Loads stream over the topology's load route and contend for
+        # its shared links.
+        self.topology = topology
         self._accounts: dict[int, _InstanceAccount] = {}
         self._station: list[MemoryOp] = []  # reservation station, FIFO
 
@@ -176,41 +173,28 @@ class MemoryOrchestrator:
 
     def _load_seconds(self, account: _InstanceAccount) -> float:
         """Estimated load duration from current link state (plus KV alloc)."""
-        tail = kv_scaling_seconds(0, account.kv_planned, 0)
-        if self.topology is not None:
-            return (
-                self.topology.estimate_load_seconds(
-                    self.node.node_id, account.weights_bytes
-                )
-                + tail
-            )
-        return account.weights_bytes / self.loader_bytes_per_s + tail
+        seconds = self.topology.estimate_load_seconds(self.node.node_id, account.weights_bytes)
+        return seconds + kv_scaling_seconds(0, account.kv_planned, 0)
 
     def _start_load(self, account: _InstanceAccount, op: MemoryOp) -> None:
         op.state = OpState.EXECUTING
         op.started_at = self.sim.now
         account.load_started = True
-        if self.topology is not None:
-            # Weights stream over the node's load route: on a dedicated
-            # route the tracker schedules one completion event with the
-            # exact ``bytes/bandwidth + kv-alloc`` duration of the
-            # legacy path below; on a contended route the transfer
-            # time-shares the bottleneck link and ``load_ready_at``
-            # tracks every re-timing.
-            instance = account.instance
-            transfer = self.topology.start_load(
-                self.node.node_id,
-                account.weights_bytes,
-                tail_seconds=kv_scaling_seconds(0, account.kv_planned, 0),
-                on_complete=lambda: self._finish_load(account, op),
-                on_retime=lambda eta: setattr(instance, "load_ready_at", eta),
-            )
-            op.route = self.topology.link_ids(transfer.route)
-            instance.load_ready_at = transfer.eta
-            return
-        duration = self._load_seconds(account)
-        account.instance.load_ready_at = self.sim.now + duration
-        self.sim.schedule(duration, self._finish_load, account, op)
+        # Weights stream over the node's load route: on a dedicated
+        # route the tracker schedules one completion event of exactly
+        # ``bytes/bandwidth + kv-alloc``; on a contended route the
+        # transfer time-shares the bottleneck link and ``load_ready_at``
+        # tracks every re-timing.
+        instance = account.instance
+        transfer = self.topology.start_load(
+            self.node.node_id,
+            account.weights_bytes,
+            tail_seconds=kv_scaling_seconds(0, account.kv_planned, 0),
+            on_complete=lambda: self._finish_load(account, op),
+            on_retime=lambda eta: setattr(instance, "load_ready_at", eta),
+        )
+        op.route = self.topology.link_ids(transfer.route)
+        instance.load_ready_at = transfer.eta
 
     def _finish_load(self, account: _InstanceAccount, op: MemoryOp) -> None:
         account.loading = False

@@ -129,10 +129,10 @@ def _sllm_bundle(name: str, use_cpu: bool, static_share: bool) -> Callable[[], P
     return factory
 
 
-def slinfer_bundle(config: SlinferConfig | None = None) -> PolicyBundle:
+def slinfer_bundle() -> PolicyBundle:
     return PolicyBundle(
         name="slinfer",
-        placement=_spec(SlinferPlacement(config), "slinfer"),
+        placement=_spec(SlinferPlacement(), "slinfer"),
         reclaim=_spec(KeepAliveReclaim(), "keepalive"),
         admission=_spec(FifoAdmission(), "fifo"),
         work=_spec(DefaultWorkSelection(), "default"),
@@ -166,10 +166,10 @@ def pd_sllm_bundle() -> PolicyBundle:
     )
 
 
-def pd_slinfer_bundle(config: SlinferConfig | None = None) -> PolicyBundle:
+def pd_slinfer_bundle() -> PolicyBundle:
     return PolicyBundle(
         name="slinfer+pd",
-        placement=_spec(SlinferPlacement(config), "slinfer"),
+        placement=_spec(SlinferPlacement(), "slinfer"),
         reclaim=_spec(KeepAliveReclaim(), "keepalive"),
         admission=_spec(PdAdmission(), "pd"),
         work=_spec(DefaultWorkSelection(), "default"),

@@ -75,10 +75,9 @@ def _as_slinfer_config(config: SystemConfig) -> SlinferConfig:
 class SlinferPlacement(PlacementPolicy):
     """Elastic heterogeneous sharing with shadow-validated placement."""
 
-    def __init__(self, config: Optional[SlinferConfig] = None) -> None:
-        self._config = config
+    def __init__(self) -> None:
         self.system: "ServingSystem | None" = None
-        self.cfg: SlinferConfig = config or SlinferConfig()
+        self.cfg = SlinferConfig()
         self.watermark = WatermarkPolicy(self.cfg.watermark)
         self.estimator = OutputLengthEstimator(prior=self.cfg.output_length_prior)
         self._orchestrators: dict[str, MemoryOrchestrator] = {}
@@ -91,7 +90,7 @@ class SlinferPlacement(PlacementPolicy):
     # ------------------------------------------------------------------
     def prepare(self, system: "ServingSystem", workload: "Workload") -> None:
         self.system = system
-        self.cfg = self._config or _as_slinfer_config(system.config)
+        self.cfg = _as_slinfer_config(system.config)
         self.watermark = WatermarkPolicy(self.cfg.watermark)
         self.estimator = OutputLengthEstimator(prior=self.cfg.output_length_prior)
         for node in system.cluster.nodes:

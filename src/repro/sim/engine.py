@@ -670,9 +670,9 @@ class VectorizedEngine(EngineBackend):
     def _flush_chain(self, chain) -> None:
         for st in chain.states:
             if st.k > st.done:
-                self._flush_state(st, chain.executor, chain.handlers)
+                self._flush_state(st, chain.handlers)
 
-    def _flush_state(self, st: _InstState, executor, handlers) -> None:
+    def _flush_state(self, st: _InstState, handlers) -> None:
         m = st.k - st.done
         first_ts = st.ts[0]
         _mark_late(st)
@@ -682,9 +682,6 @@ class VectorizedEngine(EngineBackend):
             request.tokens_out += m
         instance = st.instance
         instance.grants += m
-        instance.iterations += m
-        instance.decode_tokens += st.B * m
-        executor.iterations += m
         for handler in handlers:
             handler.fold(instance, st.B, m)
         st.done = st.k

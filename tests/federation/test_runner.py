@@ -53,13 +53,22 @@ def test_sharded_run_byte_identical_across_repeats():
     assert _canonical(first.report) == _canonical(second.report)
 
 
-@pytest.mark.parametrize("federation", ["sticky4", "balanced4"])
-def test_results_independent_of_worker_count(federation):
-    """One in-process host and four pipe-connected subprocesses must
-    produce the same merged report — the host layout is transport, not
-    semantics (static and dynamic sync paths alike)."""
+@pytest.mark.parametrize(
+    ("federation", "workers"),
+    [
+        pytest.param("sticky4", 4, id="sticky4"),
+        pytest.param("balanced4", 4, id="balanced4"),
+        pytest.param("sticky4", 2, id="sticky4-workers2"),
+        pytest.param("balanced4", 2, id="balanced4-workers2"),
+    ],
+)
+def test_results_independent_of_worker_count(federation, workers):
+    """One in-process host and pipe-connected subprocesses — two shards
+    per worker at ``workers=2``, one at ``workers=4`` — must produce the
+    same merged report: the host layout is transport, not semantics
+    (static and dynamic sync paths alike)."""
     inproc = run_federation(_spec(federation), workers=1)
-    piped = run_federation(_spec(federation), workers=4)
+    piped = run_federation(_spec(federation), workers=workers)
     assert piped.processes > 1  # really exercised the subprocess hosts
     assert _canonical(inproc.report) == _canonical(piped.report)
     assert inproc.kv_migrations == piped.kv_migrations
@@ -131,18 +140,18 @@ def test_stream_ingest_matches_materialized():
 def test_killed_shard_worker_raises_typed_error(monkeypatch):
     """A worker SIGKILLed mid-run surfaces as one typed error naming its
     shards and exit code, promptly, instead of a bare EOFError."""
-    send_run = PipeHost.send_run
+    send = PipeHost.send
 
     def stuck_run(runner):
         time.sleep(60.0)  # forked workers stay mid-run until killed
 
-    def send_then_kill(host):
-        send_run(host)
-        if 0 in host.shard_ids:
+    def send_then_kill(host, command):
+        send(host, command)
+        if command[0] == "run" and 0 in host.shard_ids:
             os.kill(host.process.pid, signal.SIGKILL)
 
     monkeypatch.setattr(ShardRunner, "run", stuck_run)
-    monkeypatch.setattr(PipeHost, "send_run", send_then_kill)
+    monkeypatch.setattr(PipeHost, "send", send_then_kill)
     start = time.perf_counter()
     with pytest.raises(ShardWorkerError, match=r"shards \[0, 2\] \(exit code -9\) died"):
         run_federation(_spec("sticky4"), workers=2)
@@ -153,12 +162,12 @@ def test_killed_shard_worker_raises_typed_error(monkeypatch):
 def test_shard_worker_error_reply_raises_typed_error():
     host = PipeHost(_spec("sticky4"), [1, 3])
     try:
-        host._send(("bogus",))
+        host.send(("bogus", None))
         with pytest.raises(
             ShardWorkerError,
             match=r"(?s)shards \[1, 3\] \(exit code 1\) failed:.*unknown shard command",
         ):
-            host.recv_reply()
+            host.recv()
     finally:
         host.close(graceful=False)
 

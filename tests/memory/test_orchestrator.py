@@ -5,11 +5,19 @@ import pytest
 from repro.engine.instance import Instance, InstanceState
 from repro.hardware import A100_80GB
 from repro.hardware.node import Node
+from repro.hardware.topology import Topology
 from repro.memory import MemoryOrchestrator, OpKind
 from repro.models import LLAMA2_7B
 from repro.sim import Simulator
 
 GIB = 1024**3
+
+
+def _topology(sim, node):
+    """The default all-dedicated topology of ``node``, bound to ``sim``."""
+    topology = Topology.uniform([node])
+    topology.bind(sim)
+    return topology
 
 
 class Recorder:
@@ -35,7 +43,9 @@ def env():
     sim = Simulator()
     node = Node("gpu-0", A100_80GB)
     listener = Recorder()
-    orchestrator = MemoryOrchestrator(sim=sim, node=node, listener=listener)
+    orchestrator = MemoryOrchestrator(
+        sim=sim, node=node, listener=listener, topology=_topology(sim, node)
+    )
     return sim, node, listener, orchestrator
 
 
@@ -179,7 +189,11 @@ def test_op_metrics_emitted():
     node = Node("gpu-0", A100_80GB)
     ops = []
     orch = MemoryOrchestrator(
-        sim=sim, node=node, listener=Recorder(), on_op_metric=lambda op, d: ops.append(op)
+        sim=sim,
+        node=node,
+        listener=Recorder(),
+        topology=_topology(sim, node),
+        on_op_metric=lambda op, d: ops.append(op),
     )
     instance = make_instance()
     orch.admit_instance(instance, 2 * GIB)

@@ -11,11 +11,19 @@ from hypothesis import strategies as st
 from repro.engine.instance import Instance
 from repro.hardware import A100_80GB
 from repro.hardware.node import Node
+from repro.hardware.topology import Topology
 from repro.memory import MemoryOrchestrator
 from repro.models import LLAMA2_7B
 from repro.sim import Simulator
 
 GIB = 1024**3
+
+
+def _topology(sim, node):
+    """The default all-dedicated topology of ``node``, bound to ``sim``."""
+    topology = Topology.uniform([node])
+    topology.bind(sim)
+    return topology
 
 
 class _Quiet:
@@ -42,7 +50,7 @@ action = st.tuples(
 def test_no_oom_under_random_interleavings(actions):
     sim = Simulator()
     node = Node("gpu-0", A100_80GB)
-    orch = MemoryOrchestrator(sim=sim, node=node, listener=_Quiet())
+    orch = MemoryOrchestrator(sim=sim, node=node, listener=_Quiet(), topology=_topology(sim, node))
     instances: dict[int, Instance] = {}
     next_id = 0
 
@@ -83,7 +91,7 @@ def test_no_oom_under_random_interleavings(actions):
 def test_sequential_scales_converge_to_last_target(kv_targets):
     sim = Simulator()
     node = Node("gpu-0", A100_80GB)
-    orch = MemoryOrchestrator(sim=sim, node=node, listener=_Quiet())
+    orch = MemoryOrchestrator(sim=sim, node=node, listener=_Quiet(), topology=_topology(sim, node))
     instance = Instance(inst_id=0, deployment="d", model=LLAMA2_7B, node=node)
     orch.admit_instance(instance, 1 * GIB)
     sim.run()

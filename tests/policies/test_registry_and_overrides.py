@@ -39,6 +39,8 @@ def test_resolve_policy_unknown_kind_and_name():
         resolve_policy("placement", "no-such-placement")
     with pytest.raises(RegistryError):
         resolve_policy("reclaim", "keepalive:not-a-number")
+    with pytest.raises(RegistryError, match="bad placement policy spec"):
+        resolve_policy("placement", "slinfer:x")  # slinfer takes no argument
 
 
 def test_every_bundle_covers_every_kind():

@@ -143,6 +143,7 @@ def test_sweep_rejects_unknown_policy(capsys):
     assert main(["sweep", "--policy", "reclaim=no-such"]) == 2
     assert "unknown reclaim policy" in capsys.readouterr().err
     assert main(["sweep", "--policy", "badflag"]) == 2
+    assert main(["sweep", "--policy", "placement=slinfer:x"]) == 2
 
 
 def test_list_hardware_shows_specs_and_topologies(capsys):
