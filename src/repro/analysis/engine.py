@@ -1,22 +1,17 @@
-"""The lint engine: rule registry, file walking, pragmas, baselines.
+"""The lint engine: rule registry, file walking, suppression pragmas.
 
 Rules are small classes registered with :func:`register_rule`; the
 engine owns everything rule-independent — discovering Python files,
 parsing them once into a shared :class:`FileContext`, scoping rules by
-dotted module name, honouring ``# repro: allow[rule-id]`` suppression
-pragmas on the exact finding line, and reconciling the remaining
-findings against a committed baseline of grandfathered entries.
-
-Baseline semantics: an entry suppresses one current finding with the
-same ``(rule, path)`` (line numbers drift and are kept only for human
-readers).  Entries with no matching finding are *stale* — the hazard
-was fixed — and are reported so the baseline shrinks monotonically.
+dotted module name, and honouring ``# repro: allow[rule-id]``
+suppression pragmas on the exact finding line.  The pragma is the only
+way to suppress a finding: an exception sits next to the code it
+excuses, where a reviewer sees it.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +25,6 @@ PRAGMA_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_\-\s,]+)\]")
 #: pseudo-rule for files the engine cannot parse
 PARSE_ERROR_RULE = "parse-error"
 
-BASELINE_VERSION = 1
 REPORT_VERSION = 1
 
 
@@ -160,25 +154,18 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    stale_baseline: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: list[str] = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
-        """Non-zero exit: live findings, or a baseline overdue for pruning."""
-        return bool(self.findings) or bool(self.stale_baseline)
+        """Non-zero exit: any live finding."""
+        return bool(self.findings)
 
     def render_text(self) -> str:
         lines = [finding.render() for finding in self.findings]
-        for entry in self.stale_baseline:
-            lines.append(
-                f"{entry.path}:{entry.line}: {entry.rule}: "
-                "fixed — remove from baseline"
-            )
         summary = (
-            f"{len(self.findings)} finding(s), {len(self.suppressed)} suppressed, "
-            f"{len(self.stale_baseline)} stale baseline entr(ies) "
+            f"{len(self.findings)} finding(s), {len(self.suppressed)} suppressed "
             f"across {self.files_scanned} file(s)"
         )
         lines.append(summary)
@@ -191,21 +178,17 @@ class LintReport:
             "rules_run": list(self.rules_run),
             "findings": [finding.to_dict() for finding in self.findings],
             "suppressed": [finding.to_dict() for finding in self.suppressed],
-            "stale_baseline": [entry.to_dict() for entry in self.stale_baseline],
         }
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "LintReport":
         findings = payload.get("findings", [])
         suppressed = payload.get("suppressed", [])
-        stale = payload.get("stale_baseline", [])
         assert isinstance(findings, list)
         assert isinstance(suppressed, list)
-        assert isinstance(stale, list)
         return cls(
             findings=[Finding.from_dict(item) for item in findings],
             suppressed=[Finding.from_dict(item) for item in suppressed],
-            stale_baseline=[Finding.from_dict(item) for item in stale],
             files_scanned=int(payload.get("files_scanned", 0)),  # type: ignore[arg-type]
             rules_run=list(payload.get("rules_run", [])),  # type: ignore[arg-type]
         )
@@ -249,52 +232,9 @@ def lint_file(path: Path, rules: Sequence[Rule]) -> tuple[list[Finding], list[Fi
     return live, suppressed
 
 
-def load_baseline(path: str | Path) -> list[Finding]:
-    """Read a baseline file (JSON: ``{"version": 1, "findings": [...]}``)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or "findings" not in payload:
-        raise ValueError(f"baseline {path}: expected an object with a 'findings' list")
-    entries = payload["findings"]
-    if not isinstance(entries, list):
-        raise ValueError(f"baseline {path}: 'findings' must be a list")
-    return [Finding.from_dict(entry) for entry in entries]
-
-
-def write_baseline(path: str | Path, findings: Sequence[Finding]) -> None:
-    payload = {
-        "version": BASELINE_VERSION,
-        "findings": [finding.to_dict() for finding in sorted(findings)],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Sequence[Finding]
-) -> tuple[list[Finding], list[Finding]]:
-    """Split findings against the baseline.
-
-    Returns ``(new findings, stale baseline entries)``.  Each baseline
-    entry absorbs at most one finding with the same ``(rule, path)``
-    key; leftovers on either side are new findings / stale entries.
-    """
-    budget: dict[tuple[str, str], list[Finding]] = {}
-    for entry in baseline:
-        budget.setdefault(entry.baseline_key(), []).append(entry)
-    new: list[Finding] = []
-    for finding in findings:
-        bucket = budget.get(finding.baseline_key())
-        if bucket:
-            bucket.pop(0)
-        else:
-            new.append(finding)
-    stale = [entry for bucket in budget.values() for entry in bucket]
-    return new, sorted(stale)
-
-
 def run_lint(
     paths: Sequence[str | Path],
     rules: Sequence[str] | None = None,
-    baseline: str | Path | None = None,
     file_filter: Callable[[Path], bool] | None = None,
 ) -> LintReport:
     """Lint ``paths`` with the selected (default: all) rules."""
@@ -309,8 +249,4 @@ def run_lint(
         report.suppressed.extend(suppressed)
     report.findings.sort()
     report.suppressed.sort()
-    if baseline is not None:
-        report.findings, report.stale_baseline = apply_baseline(
-            report.findings, load_baseline(baseline)
-        )
     return report

@@ -1,9 +1,8 @@
 """Lint findings: the unit of output of every rule.
 
 A :class:`Finding` is a frozen value object so findings can be sorted,
-deduplicated, serialized to the ``--json`` report, and matched against
-the committed baseline file — all without the rule that produced them
-in scope.
+deduplicated and serialized to the ``--json`` report without the rule
+that produced them in scope.
 """
 
 from __future__ import annotations
@@ -21,15 +20,6 @@ class Finding:
     col: int
     rule: str
     message: str
-
-    def baseline_key(self) -> tuple[str, str]:
-        """The identity used for baseline matching.
-
-        Line numbers drift with unrelated edits, so a grandfathered
-        finding is matched by ``(rule, path)`` only; the baseline holds
-        one entry per finding, consumed one-for-one.
-        """
-        return (self.rule, self.path)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"

@@ -1,4 +1,4 @@
-"""Reproducible benchmarking: timers, protocol, suites, and the perf gate.
+"""Reproducible benchmarking: timers, protocol, the core suite, and the perf gate.
 
 The measurement loop this package implements::
 
@@ -7,11 +7,12 @@ The measurement loop this package implements::
     assert outcome.gate_passed
 
 ``repro bench`` (see :mod:`repro.cli`) is the command-line face of the
-same call; CI runs it with ``--baseline`` against the committed
-``BENCH_core.json`` so hot-path regressions fail the build.
+same call: it runs the one core suite and writes one report,
+``BENCH_core.json``.  CI runs it with ``--baseline`` against the
+committed ``BENCH_core.json`` so hot-path regressions fail the build.
 """
 
-from repro.bench.cases import CORE_CASES, run_core_suite, run_scenario_suite
+from repro.bench.cases import CORE_CASES, run_core_suite
 from repro.bench.config import BenchConfig
 from repro.bench.report import (
     Regression,
@@ -21,7 +22,7 @@ from repro.bench.report import (
     load_report,
     write_report,
 )
-from repro.bench.suite import CORE_REPORT, SCENARIOS_REPORT, BenchOutcome, run_bench
+from repro.bench.suite import CORE_REPORT, BenchOutcome, run_bench
 from repro.bench.timers import Measurement, Timer, measure
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "CORE_REPORT",
     "Measurement",
     "Regression",
-    "SCENARIOS_REPORT",
     "Timer",
     "build_report",
     "compare_reports",
@@ -40,6 +40,5 @@ __all__ = [
     "measure",
     "run_bench",
     "run_core_suite",
-    "run_scenario_suite",
     "write_report",
 ]

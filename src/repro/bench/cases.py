@@ -1,38 +1,32 @@
-"""The curated benchmark suite.
+"""The curated benchmark suite behind ``repro bench``.
 
-Two suites, written to two trajectory files:
-
-* **core** (``BENCH_core.json``) — the primitives every experiment rides
-  on: the raw discrete-event loop, event-bus publishing, the end-to-end
-  serving loop (the acceptance case: ``core-loop``), an overload run
-  that churns the admission queue, a policy-matrix sweep, workload
-  synthesis throughput, the streaming-metrics pipeline (the
-  ``core-loop`` spec under bounded-memory collection plus raw sketch
-  ingest — ``metrics-streaming`` / ``metrics-sketch-insert``), the
-  vectorized engine backend on a decode-dominated run
-  (``engine-vectorized``), the prefix-sharing block map on the
-  shared-sysprompt workload (``prefix-share``), and shadow validation
-  under a bursty overload (``shadow-spike``).
-* **scenarios** (``BENCH_scenarios.json``) — every registered workload
-  scenario executed end-to-end at the configured scale, so opening a new
-  workload automatically extends the measured trajectory.
+One suite, written to ``BENCH_core.json``: the primitives every
+experiment rides on — the raw discrete-event loop, event-bus
+publishing, the end-to-end serving loop (the acceptance case:
+``core-loop``), an overload run that churns the admission queue, a
+policy-matrix sweep, workload synthesis throughput, the
+streaming-metrics pipeline (the ``core-loop`` spec under bounded-memory
+collection plus raw sketch ingest — ``metrics-streaming`` /
+``metrics-sketch-insert``), the vectorized engine backend on a
+decode-dominated run (``engine-vectorized``), the prefix-sharing block
+map on the shared-sysprompt workload (``prefix-share``), the sharded
+federation (``federation-sharded``), and shadow validation under a
+bursty overload (``shadow-spike``).
 
 Every case is deterministic (fixed seeds, fixed event counts), returns
 its event count, and scales its problem size with the configured
 trace scale so ``full`` measurements stay meaningful while ``smoke``
-stays CI-fast.
+stays CI-fast.  Tier-1's scenario-parametrized suites run every
+registered scenario; this suite times only the cases above.
 """
 
 from __future__ import annotations
 
-import cProfile
-from pathlib import Path
 from typing import Callable
 
 from repro.bench.config import BenchConfig
 from repro.bench.timers import Measurement, measure
 from repro.policies.events import Event, EventBus, IterationFinished, RequestArrived
-from repro.registry import SCENARIOS
 from repro.runner import RunSpec, SweepExecutor, build_workload, execute_spec, expand_grid
 from repro.sim.simulator import Simulator
 
@@ -183,9 +177,9 @@ def _metrics_sketch_insert(config: BenchConfig) -> int:
     return total
 
 
-#: decode-marathon workloads memo-built once per scale: like the scenario
-#: suite, the engine case times the serving loop, not trace synthesis
-#: (the build lands in the first warmup round, outside the timed region)
+#: decode-marathon workloads memo-built once per scale: the engine case
+#: times the serving loop, not trace synthesis (the build lands in the
+#: first warmup round, outside the timed region)
 _MARATHON_WORKLOADS: dict[str, object] = {}
 
 
@@ -272,17 +266,18 @@ def _streaming_footprint_meta(config: BenchConfig) -> dict[str, int]:
     }
 
 
-def _federation_spec(config: BenchConfig, shards: int) -> RunSpec:
-    """The fleet spec behind ``federation-sharded``, at a shard count.
+def _federation_sharded(config: BenchConfig) -> int:
+    """The sharded-federation acceptance case: a 4-shard fleet run.
 
-    ``global-storm`` on a single overloaded GPU node: the monolith faces
-    back-to-back regional storms (its queue never drains, decode chains
-    keep breaking, every placement re-validates against the pile-up),
-    while each region shard sees storms only 1/4 of the time and serves
-    the rest as stable decode batches the vectorized engine fast-forwards.
-    The 4-vs-1-shard aggregate events/sec ratio in the meta is therefore
-    *algorithmic* — it holds at ``workers=1`` on a single core."""
-    return RunSpec(
+    ``global-storm`` on a single overloaded GPU node, split into four
+    region shards by sticky sessions and served in-process.  Times the
+    full federated path: deterministic workload partition, per-shard
+    serving loops, shard-report merge.  Other shard counts simulate a
+    different system (each region shard sees storms only 1/4 of the
+    time), so no ratio against them is recorded here."""
+    from repro.federation.runner import run_federation
+
+    spec = RunSpec(
         system="slinfer",
         scenario="global-storm",
         model="llama-2-7b",
@@ -294,53 +289,9 @@ def _federation_spec(config: BenchConfig, shards: int) -> RunSpec:
         scenario_params={"load_factor": 7.0},
         metrics="streaming",
         engine="vectorized",
-        federation=f"sticky{shards}",
+        federation="sticky4",
     )
-
-
-def _federation_sharded(config: BenchConfig) -> int:
-    """The sharded-federation acceptance case: the 4-shard fleet run.
-
-    Times the full federated path — deterministic workload partition,
-    per-shard serving loops, shard-report merge — on the ``global-storm``
-    fleet at 4 sticky-session shards.  The 1- and 2-shard points (and the
-    speedup they imply) are measured untimed in this case's meta."""
-    from repro.federation.runner import run_federation
-
-    outcome = run_federation(_federation_spec(config, 4), workers=1)
-    return outcome.report.events_processed
-
-
-def _federation_speedup_meta(config: BenchConfig) -> dict:
-    """Best-of-3 aggregate events/sec at 1/2/4 shards, and the ratios.
-
-    Uses the suite's own estimator (minimum wall time) per shard count,
-    so ``speedup_4v1`` is the acceptance number: aggregate events/sec of
-    the 4-shard fleet over the monolithic 1-shard run of the same trace."""
-    import time as _time
-
-    from repro.federation.runner import run_federation
-
-    rates: dict[int, float] = {}
-    events: dict[int, int] = {}
-    for shards in (1, 2, 4):
-        spec = _federation_spec(config, shards)
-        walls = []
-        for _ in range(3):
-            start = _time.perf_counter()
-            outcome = run_federation(spec, workers=1)
-            walls.append(_time.perf_counter() - start)
-        events[shards] = outcome.report.events_processed
-        rates[shards] = events[shards] / min(walls)
-    return {
-        "scenario": "global-storm",
-        "router": "sticky-session",
-        "cluster": "cpu0-gpu1",
-        "events": {str(s): events[s] for s in sorted(events)},
-        "events_per_sec": {str(s): round(rates[s], 2) for s in sorted(rates)},
-        "speedup_2v1": round(rates[2] / rates[1], 3),
-        "speedup_4v1": round(rates[4] / rates[1], 3),
-    }
+    return run_federation(spec, workers=1).report.events_processed
 
 
 CORE_CASES: dict[str, Callable[[BenchConfig], int]] = {
@@ -362,120 +313,22 @@ CORE_CASES: dict[str, Callable[[BenchConfig], int]] = {
 #: untimed per-case annotations attached to the written report
 _CASE_META: dict[str, Callable[[BenchConfig], dict]] = {
     "metrics-streaming": _streaming_footprint_meta,
-    "federation-sharded": _federation_speedup_meta,
 }
 
 
-def profile_case(
-    case: Callable[[], int], name: str, profile_dir: Path | str
-) -> Path:
-    """One extra, untimed round of ``case`` under :mod:`cProfile`.
-
-    Runs *after* the timed rounds (so the profiler's tracing overhead
-    never pollutes the reported wall times) and dumps the stats as
-    ``profile_<name>.pstats`` — load with :class:`pstats.Stats` or any
-    pstats viewer."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        case()
-    finally:
-        profiler.disable()
-    path = Path(profile_dir) / f"profile_{name}.pstats"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    profiler.dump_stats(path)
-    return path
-
-
-def run_core_suite(
-    config: BenchConfig,
-    only: set[str] | None = None,
-    profile_dir: Path | str | None = None,
-) -> list[Measurement]:
+def run_core_suite(config: BenchConfig, only: set[str] | None = None) -> list[Measurement]:
     measurements = []
     for name, case in CORE_CASES.items():
         if only is not None and name not in only:
             continue
         meta_fn = _CASE_META.get(name)
-        bound = lambda case=case: case(config)  # noqa: E731
         measurements.append(
             measure(
-                bound,
+                lambda case=case: case(config),
                 name=name,
                 repeats=config.repeats,
                 warmup=config.warmup,
                 meta=meta_fn(config) if meta_fn is not None else None,
             )
         )
-        if profile_dir is not None:
-            profile_case(bound, name, profile_dir)
-    return measurements
-
-
-# ----------------------------------------------------------------------
-# Scenario suite
-# ----------------------------------------------------------------------
-#: long-horizon scenarios benched (and CI-exercised) under streaming
-#: metrics — the mode they exist to make feasible
-_STREAMING_SCENARIOS = frozenset(
-    {"diurnal-week", "million-burst", "fleet-diurnal-week", "global-storm"}
-)
-
-#: scenarios whose point is a particular hardware shape run on it; the
-#: rest use the homogeneous cpu2-gpu2 default
-_SCENARIO_CLUSTERS = {
-    "het-fleet": "het-gpu",
-    "cold-churn": "rack-oversub",
-    "cpu-harvest": "harvest16",
-}
-
-#: prefix workloads benched with the block map on — the sharing path is
-#: what those scenarios exist to exercise
-_SHARING_SCENARIOS = frozenset({"shared-sysprompt", "agentic-loop", "prefix-mix"})
-
-
-def run_scenario_suite(
-    config: BenchConfig,
-    only: set[str] | None = None,
-    profile_dir: Path | str | None = None,
-) -> list[Measurement]:
-    """Every registered scenario, executed end-to-end on SLINFER."""
-    measurements = []
-    for scenario in SCENARIOS.names():
-        if only is not None and scenario not in only:
-            continue
-        spec = RunSpec(
-            system="slinfer",
-            scenario=scenario,
-            n_models=8,
-            cluster=_SCENARIO_CLUSTERS.get(scenario, "cpu2-gpu2"),
-            seed=1,
-            scale=config.scale,
-            metrics="streaming" if scenario in _STREAMING_SCENARIOS else "exact",
-            kv_sharing="on" if scenario in _SHARING_SCENARIOS else "off",
-        )
-        # The trace is synthesized once, outside the timed region: these
-        # cases measure the serving loop (the dedicated
-        # workload-synthesis case measures generation).
-        workload = build_workload(spec)
-
-        def case(spec: RunSpec = spec, workload=workload) -> int:
-            return execute_spec(spec, workload=workload).report.events_processed
-
-        measurements.append(
-            measure(
-                case,
-                name=f"scenario-{scenario}",
-                repeats=config.repeats,
-                warmup=config.warmup,
-                meta={
-                    "requests": workload.total_requests,
-                    "system": "slinfer",
-                    "cluster": spec.cluster,
-                    "metrics": spec.metrics,
-                },
-            )
-        )
-        if profile_dir is not None:
-            profile_case(case, f"scenario-{scenario}", profile_dir)
     return measurements

@@ -6,14 +6,14 @@ instead of parsing environment variables itself.  Scale and worker
 resolution delegate to :mod:`repro.runner` (``REPRO_SCALE`` /
 ``REPRO_WORKERS``), so there is exactly one interpretation of each
 variable in the codebase; the measurement-protocol knobs
-(``REPRO_BENCH_REPEATS`` / ``REPRO_BENCH_WARMUP`` /
-``REPRO_BENCH_PROFILE``) live here.
+(``REPRO_BENCH_REPEATS`` / ``REPRO_BENCH_WARMUP``) live here.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.runner import current_scale, default_workers, get_scale
 
@@ -22,11 +22,20 @@ DEFAULT_REPEATS = 3
 DEFAULT_WARMUP = 1
 
 
-def _env_int(name: str, default: int, minimum: int = 0) -> int:
-    try:
-        return max(minimum, int(os.environ.get(name, default)))
-    except ValueError:
+def _env_int(name: str, default: int) -> int:
+    """An integer knob from the environment; unset or empty means ``default``.
+
+    A value that is not an integer is an error naming the variable, and
+    an out-of-range one fails :class:`BenchConfig`'s own validation, as
+    the matching command-line flag would.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
         return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -37,8 +46,6 @@ class BenchConfig:
     workers: int = 1
     repeats: int = DEFAULT_REPEATS
     warmup: int = DEFAULT_WARMUP
-    #: wrap each case in cProfile and write ``profile_<case>.pstats``
-    profile: bool = False
 
     def __post_init__(self) -> None:
         get_scale(self.scale)  # unknown scales fail fast, not mid-suite
@@ -57,14 +64,15 @@ class BenchConfig:
         """Resolve from the environment, with explicit overrides on top.
 
         ``REPRO_SCALE`` / ``REPRO_WORKERS`` keep their runner semantics;
-        ``None`` overrides mean "use the environment".
+        ``None`` overrides mean "use the environment", and an explicit
+        override means the variable is not read at all.
         """
-        config = cls(
-            scale=current_scale().label,
-            workers=default_workers(),
-            repeats=_env_int("REPRO_BENCH_REPEATS", DEFAULT_REPEATS, minimum=1),
-            warmup=_env_int("REPRO_BENCH_WARMUP", DEFAULT_WARMUP),
-            profile=os.environ.get("REPRO_BENCH_PROFILE", "") not in ("", "0"),
-        )
-        filtered = {key: value for key, value in overrides.items() if value is not None}
-        return replace(config, **filtered) if filtered else config
+        explicit = {key: value for key, value in overrides.items() if value is not None}
+        readers: dict[str, Callable[[], Any]] = {
+            "scale": lambda: current_scale().label,
+            "workers": default_workers,
+            "repeats": lambda: _env_int("REPRO_BENCH_REPEATS", DEFAULT_REPEATS),
+            "warmup": lambda: _env_int("REPRO_BENCH_WARMUP", DEFAULT_WARMUP),
+        }
+        resolved = {key: read() for key, read in readers.items() if key not in explicit}
+        return cls(**resolved, **explicit)

@@ -1,10 +1,10 @@
 """Benchmark-report JSON: schema, writer, and baseline comparison.
 
-Reports are the repo's machine-readable performance trajectory
-(``BENCH_core.json`` / ``BENCH_scenarios.json``): versioned, annotated
-with the commit and environment they were measured on, and diffable
-against a committed baseline by :func:`compare_reports` — which is what
-the CI perf gate runs.
+A report (``BENCH_core.json``) is the repo's machine-readable
+performance trajectory: versioned, annotated with the commit and
+environment it was measured on, and diffable against a committed
+baseline by :func:`compare_reports` — which is what the CI perf gate
+runs.
 
 Schema (version 1)::
 
@@ -61,14 +61,13 @@ def current_commit() -> str:
 
 
 def build_report(
-    suite: str,
     config: BenchConfig,
     measurements: Sequence[Measurement],
     commit: str | None = None,
 ) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
-        "suite": suite,
+        "suite": "core",
         "commit": commit if commit is not None else current_commit(),
         "scale": config.scale,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),

@@ -1,15 +1,16 @@
-"""Suite orchestration: run the benches, write the trajectory, gate CI.
+"""Suite orchestration: run the bench, write the report, gate CI.
 
 :func:`run_bench` is the one entry point behind ``repro bench``:
 
-1. run the core suite and (optionally) the per-scenario suite;
-2. write ``BENCH_core.json`` / ``BENCH_scenarios.json`` into ``out_dir``;
+1. run the core suite (all cases, or the ``only`` subset);
+2. write ``BENCH_core.json`` into ``out_dir``;
 3. if a baseline report is given, compare events/sec case-by-case and
    report regressions beyond the tolerance (the CI perf gate).
 
-With ``config.profile`` set (``--profile`` / ``REPRO_BENCH_PROFILE=1``),
-each case additionally runs one untimed round under :mod:`cProfile` and
-``profile_<case>.pstats`` lands next to the reports.
+For a per-case profile, run one case under the standard profiler::
+
+    python -m cProfile -o core-loop.pstats -m repro bench \
+        --only core-loop --repeats 1 --warmup 0 --out /tmp/b
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.bench.cases import CORE_CASES, run_core_suite, run_scenario_suite
+from repro.bench.cases import CORE_CASES, run_core_suite
 from repro.bench.config import BenchConfig
 from repro.bench.report import (
     Regression,
@@ -29,33 +30,30 @@ from repro.bench.report import (
 )
 
 CORE_REPORT = "BENCH_core.json"
-SCENARIOS_REPORT = "BENCH_scenarios.json"
 
 
 def _validate_case_names(only: set[str]) -> None:
-    """Unknown ``--only`` names fail fast, before anything runs or writes.
+    """Unknown or missing ``--only`` names fail fast, before anything runs.
 
     A typo'd case name must not silently shrink the suite (or turn the
     baseline gate into a vacuous pass).
     """
-    from repro.registry import SCENARIOS
-
-    known = set(CORE_CASES) | {f"scenario-{name}" for name in SCENARIOS.names()}
-    unknown = set(only) - known
+    unknown = only - set(CORE_CASES)
     if unknown:
         raise ValueError(
             f"unknown bench case(s): {', '.join(sorted(unknown))} "
-            f"(known: {', '.join(sorted(known))})"
+            f"(known: {', '.join(sorted(CORE_CASES))})"
         )
+    if not only:
+        raise ValueError("nothing to run: --only names no case")
 
 
 @dataclass
 class BenchOutcome:
     """Everything one ``repro bench`` invocation produced."""
 
-    config: BenchConfig
-    reports: dict[str, dict[str, Any]] = field(default_factory=dict)  # filename -> report
-    paths: list[Path] = field(default_factory=list)
+    report: dict[str, Any]
+    path: Path
     regressions: list[Regression] = field(default_factory=list)
 
     @property
@@ -67,79 +65,40 @@ def run_bench(
     config: BenchConfig,
     out_dir: Path | str = ".",
     only: set[str] | None = None,
-    include_scenarios: bool = True,
     baseline: Path | str | None = None,
     max_regression: float = 0.25,
     echo: Callable[[str], None] | None = None,
 ) -> BenchOutcome:
-    """Run the suites, write the reports, and apply the baseline gate.
+    """Run the core suite, write its report, and apply the baseline gate.
 
-    ``only`` restricts the core suite to named cases (and skips the
-    scenario suite unless a ``scenario-*`` name is given).  The gate
-    compares the **core** report against ``baseline``; scenario numbers
-    are trajectory data, not gated.
+    ``only`` restricts the suite to the named cases; the gate then
+    compares only the cases that ran against ``baseline``.  The baseline
+    is read before the report is written, so a run whose ``out_dir``
+    holds the baseline itself still gates against the old numbers.
     """
     say = echo if echo is not None else (lambda _line: None)
-    outcome = BenchOutcome(config=config)
-
-    core_only = None
-    scenario_only = None
-    run_core = True
     if only is not None:
         _validate_case_names(only)
-        core_only = {name for name in only if not name.startswith("scenario-")}
-        scenario_only = {
-            name.removeprefix("scenario-") for name in only if name.startswith("scenario-")
-        }
-        # A purely scenario-filtered run must not produce (and overwrite
-        # the committed!) core report with an empty case list.
-        run_core = bool(core_only)
-        include_scenarios = include_scenarios and bool(scenario_only)
-    if baseline is not None and not run_core:
-        raise ValueError(
-            "--baseline gates the core suite, but --only filtered every core "
-            "case out; include at least one core case or drop the baseline"
-        )
-    if not run_core and not include_scenarios:
-        raise ValueError(
-            "nothing to run: the --only/--skip-scenarios combination "
-            "filtered out every case"
-        )
+    baseline_report = load_report(baseline) if baseline is not None else None
 
     say(f"bench: scale={config.scale} repeats={config.repeats} warmup={config.warmup}")
-    profile_dir = Path(out_dir) if config.profile else None
-    if profile_dir is not None:
-        say(f"profiling: writing profile_<case>.pstats into {profile_dir}")
-    if run_core:
-        core = run_core_suite(config, only=core_only, profile_dir=profile_dir)
-        for measurement in core:
-            say("  " + measurement.summary_line())
-        outcome.reports[CORE_REPORT] = build_report("core", config, core)
+    measurements = run_core_suite(config, only=only)
+    for measurement in measurements:
+        say("  " + measurement.summary_line())
+    report = build_report(config, measurements)
+    outcome = BenchOutcome(report, write_report(report, Path(out_dir) / CORE_REPORT))
+    say(f"wrote {outcome.path}")
 
-    if include_scenarios:
-        scenarios = run_scenario_suite(config, only=scenario_only, profile_dir=profile_dir)
-        for measurement in scenarios:
-            say("  " + measurement.summary_line())
-        outcome.reports[SCENARIOS_REPORT] = build_report("scenarios", config, scenarios)
-
-    out = Path(out_dir)
-    for filename, report in outcome.reports.items():
-        path = write_report(report, out / filename)
-        outcome.paths.append(path)
-        say(f"wrote {path}")
-
-    if baseline is not None and CORE_REPORT in outcome.reports:
-        baseline_report = load_report(baseline)
+    if baseline_report is not None:
         if only is not None:
             # A filtered run deliberately skipped cases — gate only what
             # actually ran; missing-case detection is for full runs.
-            ran = {case["name"] for case in outcome.reports[CORE_REPORT]["cases"]}
             baseline_report = dict(baseline_report)
             baseline_report["cases"] = [
-                case for case in baseline_report["cases"] if case["name"] in ran
+                case for case in baseline_report["cases"] if case["name"] in only
             ]
         outcome.regressions = compare_reports(
-            outcome.reports[CORE_REPORT], baseline_report, max_regression=max_regression
+            report, baseline_report, max_regression=max_regression
         )
         if outcome.regressions:
             say(f"PERF GATE: {len(outcome.regressions)} regression(s) vs {baseline}:")

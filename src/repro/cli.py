@@ -22,9 +22,11 @@ Commands:
   ``table1``, ``table2``, ``watermark``, ``keepalive``, ``pd``, ``quant``).
 * ``calibration`` — print the calibrated latency laws against the paper's
   published anchors.
-* ``bench`` — run the curated benchmark suite and write the
-  ``BENCH_core.json`` / ``BENCH_scenarios.json`` performance trajectory;
-  with ``--baseline`` it becomes the CI perf gate (exit 3 on regression).
+* ``bench`` — run the curated core benchmark suite and write one report,
+  ``BENCH_core.json``; with ``--baseline`` it becomes the CI perf gate
+  (exit 3 on regression).
+* ``lint`` — the determinism/invariant static-analysis rules; a finding
+  is suppressed only by a ``# repro: allow[rule-id]`` pragma on its line.
 
 Workload and system tables are never hand-rolled here: every lookup goes
 through :mod:`repro.registry`, and runs execute through
@@ -418,20 +420,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             warmup=args.warmup,
             workers=args.workers,
-            profile=args.profile or None,
         )
         outcome = run_bench(
             config,
             out_dir=args.out,
             only=set(_csv(args.only)) if args.only else None,
-            include_scenarios=not args.skip_scenarios,
             baseline=args.baseline,
             max_regression=args.max_regression,
             echo=print,
         )
     except (ValueError, OSError) as error:
-        # Bad case names, scale-mismatched/missing/unreadable baselines,
-        # filtered-out gates: usage errors, reported like registry
+        # Bad case names or protocol settings, scale-mismatched/missing/
+        # unreadable baselines: usage errors, reported like registry
         # errors (exit 2), distinct from a genuine gate failure (exit 3).
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -439,20 +439,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.analysis import all_rule_ids, run_lint
-    from repro.analysis.engine import write_baseline
 
-    if args.write_baseline and not args.baseline:
-        print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
     try:
-        report = run_lint(
-            args.paths or ["src/repro"],
-            rules=args.rule or None,
-            baseline=None if args.write_baseline else args.baseline,
-        )
+        report = run_lint(args.paths or ["src/repro"], rules=args.rule or None)
     except KeyError as error:
         # Unknown --rule id: a usage error, like unknown registry names.
         print(f"error: {error.args[0]}", file=sys.stderr)
@@ -461,12 +451,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        write_baseline(args.baseline, report.findings)
-        print(f"wrote {len(report.findings)} finding(s) to {args.baseline}")
-        return 0
     if args.json:
-        print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.render_text())
     return 1 if report.failed else 0
@@ -647,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.set_defaults(func=cmd_experiment)
 
     bench = sub.add_parser(
-        "bench", help="run the benchmark suite and write BENCH_*.json"
+        "bench", help="run the core benchmark suite and write BENCH_core.json"
     )
     bench.add_argument(
         "--scale", default=None, choices=["full", "quick", "smoke"],
@@ -656,16 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=None, help="timed rounds per case")
     bench.add_argument("--warmup", type=int, default=None, help="untimed warmup rounds")
     bench.add_argument("--workers", type=int, default=None, help="sweep-case worker processes")
-    bench.add_argument("--out", default=".", help="directory for BENCH_*.json (default: .)")
+    bench.add_argument("--out", default=".", help="directory for BENCH_core.json (default: .)")
     bench.add_argument("--only", default="", help="comma list of case names to run")
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="wrap each case in cProfile and write profile_<case>.pstats "
-        "next to the reports (also: REPRO_BENCH_PROFILE=1)",
-    )
-    bench.add_argument(
-        "--skip-scenarios", action="store_true", help="core suite only, no BENCH_scenarios.json"
-    )
     bench.add_argument(
         "--baseline", default=None,
         help="committed BENCH_core.json to gate against (exit 3 on regression)",
@@ -683,8 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
             "AST-based lint of simulation determinism contracts: wall-clock "
             "reads, ambient RNG, unordered iteration, fingerprint axes, "
             "handler purity, engine seams, float accumulation, strict typing. "
-            "Exit 0 clean; 1 on findings or stale baseline entries; 2 on "
-            "usage errors."
+            "Suppress a finding with '# repro: allow[rule-id]' on its line. "
+            "Exit 0 clean; 1 on findings; 2 on usage errors."
         ),
     )
     lint.add_argument(
@@ -698,16 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--json", action="store_true", help="emit the machine-readable report"
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings grandfathered in FILE; stale entries fail",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline FILE from the current findings and exit 0",
     )
     lint.set_defaults(func=cmd_lint)
 

@@ -22,7 +22,6 @@ class SystemConfig:
     drain_timeout: float = 240.0  # extra time after the trace to finish work
     max_queue_retries: int = 24  # placement retries per unblocking event
     max_placement_candidates: int = 8  # instances/nodes probed per placement
-    measure_overheads: bool = True  # wall-clock scheduling overhead (Fig. 33)
 
 
 @dataclass(frozen=True)

@@ -297,14 +297,11 @@ class ServingSystem:
     def overhead_timer(self, name: str) -> Iterator[None]:
         """Time a policy code section against the host clock (Fig. 33).
 
-        The one sanctioned wall-clock seam for policy code: a no-op
-        unless ``config.measure_overheads``, so deterministic modules
-        never read the host clock themselves (``repro lint`` rule
-        ``no-wall-clock`` enforces this statically).
+        The one sanctioned wall-clock seam for policy code, so
+        deterministic modules never read the host clock themselves
+        (``repro lint`` rule ``no-wall-clock`` enforces this statically).
+        The samples land only in volatile report fields.
         """
-        if not self.config.measure_overheads:
-            yield
-            return
         start = _wallclock.perf_counter()
         try:
             yield
@@ -374,8 +371,6 @@ class ServingSystem:
         previous = self.placing_request
         self.placing_request = request
         try:
-            if not self.config.measure_overheads:
-                return self.policies.placement.try_place(self, request)
             start = _wallclock.perf_counter()
             placed = self.policies.placement.try_place(self, request)
             self.record_overhead("placement", _wallclock.perf_counter() - start)
@@ -599,8 +594,6 @@ class ServingSystem:
     # Executor loop
     # ------------------------------------------------------------------
     def _select_work(self, executor: Executor) -> Optional[WorkItem]:
-        if not self.config.measure_overheads:
-            return self.policies.work.select(self, executor)
         start = _wallclock.perf_counter()
         item = self.policies.work.select(self, executor)
         self.record_overhead("token_schedule", _wallclock.perf_counter() - start)

@@ -460,11 +460,6 @@ class VectorizedEngine(EngineBackend):
     # ------------------------------------------------------------------
     def _static_ok(self, system: "ServingSystem") -> bool:
         """Run-level preconditions for chaining (else: full fallback)."""
-        # config.measure_overheads is deliberately NOT a disqualifier:
-        # chained kicks skip the wall-clock-timed _select_work, which
-        # only shortens the (volatile, nondeterministic) token_schedule
-        # overhead series — simulation state and canonical reports are
-        # untouched.
         return type(system.policies.work).select is WorkSelectionPolicy.select
 
     def _classify(self) -> Optional[tuple[DecodeChainHandler, ...]]:

@@ -1,4 +1,4 @@
-"""Engine behaviour: pragmas, baselines, JSON round-trips, file walking."""
+"""Engine behaviour: pragmas, JSON round-trips, file walking."""
 
 from __future__ import annotations
 
@@ -9,13 +9,10 @@ import pytest
 from repro.analysis.engine import (
     LintReport,
     all_rule_ids,
-    apply_baseline,
     get_rule,
-    load_baseline,
     module_name_for,
     run_lint,
     suppressed_rules,
-    write_baseline,
 )
 from repro.analysis.findings import Finding
 
@@ -66,74 +63,6 @@ class TestPragmas:
         line = "x = 1  # repro: allow[no-wall-clock, float-accum]"
         assert suppressed_rules(line) == {"no-wall-clock", "float-accum"}
         assert suppressed_rules("x = 1  # plain comment") == frozenset()
-
-
-# ----------------------------------------------------------------------
-# Baseline workflow
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_baseline_entry_absorbs_matching_finding(self, tmp_path):
-        source_path = _write(tmp_path, "mod.py", WALL_CLOCK)
-        report = run_lint([source_path], rules=["no-wall-clock"])
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, report.findings)
-
-        gated = run_lint([source_path], rules=["no-wall-clock"], baseline=baseline_path)
-        assert gated.findings == []
-        assert gated.stale_baseline == []
-        assert not gated.failed
-
-    def test_baseline_matches_by_rule_and_path_despite_line_drift(self, tmp_path):
-        source_path = _write(tmp_path, "mod.py", WALL_CLOCK)
-        report = run_lint([source_path], rules=["no-wall-clock"])
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, report.findings)
-
-        # Unrelated edits move the finding to another line; the
-        # grandfathered entry still absorbs it.
-        source_path.write_text("# a new comment\n# another\n" + WALL_CLOCK)
-        gated = run_lint([source_path], rules=["no-wall-clock"], baseline=baseline_path)
-        assert gated.findings == [] and gated.stale_baseline == []
-
-    def test_stale_entry_reported_as_fixed(self, tmp_path):
-        source_path = _write(tmp_path, "mod.py", WALL_CLOCK)
-        report = run_lint([source_path], rules=["no-wall-clock"])
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, report.findings)
-
-        source_path.write_text("t = 0.0\n")  # hazard fixed
-        gated = run_lint([source_path], rules=["no-wall-clock"], baseline=baseline_path)
-        assert gated.findings == []
-        assert len(gated.stale_baseline) == 1
-        assert gated.failed  # a stale baseline must be pruned
-        assert "fixed — remove from baseline" in gated.render_text()
-
-    def test_each_entry_absorbs_exactly_one_finding(self):
-        finding = Finding("mod.py", 2, 0, "no-wall-clock", "m")
-        twin = Finding("mod.py", 9, 0, "no-wall-clock", "m")
-        new, stale = apply_baseline([finding, twin], [finding])
-        assert new == [twin]
-        assert stale == []
-
-    def test_write_then_load_round_trips(self, tmp_path):
-        findings = [
-            Finding("b.py", 2, 4, "engine-seam", "msg"),
-            Finding("a.py", 1, 0, "no-wall-clock", "msg"),
-        ]
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        assert load_baseline(path) == sorted(findings)
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps([1, 2, 3]))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_shipped_baseline_is_empty(self):
-        # The satellite contract: no grandfathered findings anywhere —
-        # in particular repro/sim + repro/engine ship clean.
-        assert load_baseline("lint_baseline.json") == []
 
 
 # ----------------------------------------------------------------------

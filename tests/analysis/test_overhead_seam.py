@@ -4,13 +4,11 @@ PR context: slinfer's shadow-validation and preemption-planning paths
 used to call ``time.perf_counter`` directly; the ``no-wall-clock`` lint
 rule forbids that, so they now time themselves through
 ``ServingSystem.overhead_timer``.  These tests pin that the seam still
-feeds Fig. 33 overhead stats and goes fully quiet when measurement is
-disabled.
+feeds Fig. 33 overhead stats.
 """
 
 from __future__ import annotations
 
-from repro.core.config import SlinferConfig
 from repro.runner import RunSpec, execute_spec
 from repro.runner.executor import build_system
 from repro.runner.spec import build_workload
@@ -19,20 +17,13 @@ TINY = dict(n_models=2, duration=60.0)
 
 
 def test_slinfer_overheads_flow_through_seam():
-    # measure_overheads defaults on, so a plain run must surface the
-    # wall-clock sections slinfer times via overhead_timer.
+    # A plain run must surface the wall-clock sections slinfer times
+    # via overhead_timer.
     report = execute_spec(RunSpec(system="slinfer", **TINY)).report
     assert "shadow_validation" in report.overhead_stats
     stat = report.overhead_stats["shadow_validation"]
     assert stat.count > 0
     assert stat.total_seconds >= 0.0
-
-
-def test_timer_noop_when_measurement_disabled():
-    spec = RunSpec(system="slinfer", **TINY)
-    system = build_system(spec, config=SlinferConfig(measure_overheads=False))
-    report = system.run(build_workload(spec))
-    assert report.overhead_stats == {}
 
 
 def test_timer_records_named_section():

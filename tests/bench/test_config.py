@@ -25,6 +25,7 @@ def test_env_defaults_are_lenient(monkeypatch):
 
 def test_explicit_overrides_beat_env(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "full")
+    monkeypatch.setenv("REPRO_BENCH_REPEATS", "abc")  # never read: the override wins
     config = BenchConfig.from_env(scale="smoke", repeats=1, warmup=0)
     assert config.scale == "smoke"
     assert config.repeats == 1
@@ -46,6 +47,33 @@ def test_invalid_protocol_rejected():
         BenchConfig(repeats=0)
     with pytest.raises(ValueError):
         BenchConfig(warmup=-1)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("REPRO_BENCH_REPEATS", "abc", "REPRO_BENCH_REPEATS='abc' is not an integer"),
+        ("REPRO_BENCH_WARMUP", "1.5", "REPRO_BENCH_WARMUP='1.5' is not an integer"),
+        ("REPRO_BENCH_REPEATS", "0", "repeats must be >= 1"),
+        ("REPRO_BENCH_WARMUP", "-1", "warmup must be >= 0"),
+    ],
+)
+def test_invalid_env_protocol_fails_like_the_flag(
+    monkeypatch, tmp_path, capsys, name, value, message
+):
+    # Not replaced by the default or clamped into range: the run fails
+    # the way --repeats 0 does, as a usage error before any case runs.
+    from repro.cli import main
+
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ValueError, match=message):
+        BenchConfig.from_env()
+    code = main(
+        ["bench", "--scale", "smoke", "--only", "workload-synthesis", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_duration_follows_scale():

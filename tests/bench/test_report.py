@@ -21,7 +21,7 @@ def _measurement(name, events=1000, wall=0.5):
 
 def _report(cases, commit="abc1234"):
     config = BenchConfig(scale="smoke", repeats=1, warmup=0)
-    return build_report("core", config, cases, commit=commit)
+    return build_report(config, cases, commit=commit)
 
 
 def test_report_schema_and_roundtrip(tmp_path):
