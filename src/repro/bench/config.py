@@ -6,36 +6,23 @@ instead of parsing environment variables itself.  Scale and worker
 resolution delegate to :mod:`repro.runner` (``REPRO_SCALE`` /
 ``REPRO_WORKERS``), so there is exactly one interpretation of each
 variable in the codebase; the measurement-protocol knobs
-(``REPRO_BENCH_REPEATS`` / ``REPRO_BENCH_WARMUP``) live here.
+(``REPRO_BENCH_REPEATS`` / ``REPRO_BENCH_WARMUP``) live here, read by
+the same :mod:`repro.runner.env` parser.  A non-integer fails there, an
+out-of-range value fails :class:`BenchConfig`'s own validation, as the
+matching command-line flag would.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.runner import current_scale, default_workers, get_scale
+from repro.runner.env import env_int
 
 #: measurement protocol defaults: warm once, keep the best of three
 DEFAULT_REPEATS = 3
 DEFAULT_WARMUP = 1
-
-
-def _env_int(name: str, default: int) -> int:
-    """An integer knob from the environment; unset or empty means ``default``.
-
-    A value that is not an integer is an error naming the variable, and
-    an out-of-range one fails :class:`BenchConfig`'s own validation, as
-    the matching command-line flag would.
-    """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -71,8 +58,8 @@ class BenchConfig:
         readers: dict[str, Callable[[], Any]] = {
             "scale": lambda: current_scale().label,
             "workers": default_workers,
-            "repeats": lambda: _env_int("REPRO_BENCH_REPEATS", DEFAULT_REPEATS),
-            "warmup": lambda: _env_int("REPRO_BENCH_WARMUP", DEFAULT_WARMUP),
+            "repeats": lambda: env_int("REPRO_BENCH_REPEATS", DEFAULT_REPEATS),
+            "warmup": lambda: env_int("REPRO_BENCH_WARMUP", DEFAULT_WARMUP),
         }
         resolved = {key: read() for key, read in readers.items() if key not in explicit}
         return cls(**resolved, **explicit)

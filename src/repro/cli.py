@@ -66,6 +66,7 @@ from repro.runner import (
     execute_spec,
     expand_grid,
 )
+from repro.runner.env import EnvSettingError
 
 
 def _csv(value: str) -> list[str]:
@@ -685,10 +686,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # Inside the try: the parser's defaults read REPRO_WORKERS.
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except RegistryError as error:
+    except (RegistryError, EnvSettingError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

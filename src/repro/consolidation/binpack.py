@@ -7,11 +7,13 @@ Two orderings:
   instances grow larger, small fragments drain and are reclaimed sooner.
 * **Placement**: among nodes that can host a new instance, pick best-fit
   (least free memory that still fits) so deployments stay packed and whole
-  nodes stay free for future large placements.
+  nodes stay free for future large placements; :func:`first_per_kind`
+  bounds the nodes probed without hiding a hardware kind.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 from repro.engine.instance import Instance
@@ -47,3 +49,19 @@ def order_nodes_best_fit(
         return (cpu_rank, free_bytes(node), node.node_id)
 
     return sorted(fitting, key=sort_key)
+
+
+def first_per_kind(nodes: list[Node], limit: int) -> list[Node]:
+    """The first ``limit`` nodes of each hardware kind, in ``nodes``' order.
+
+    A candidate window bounded per kind cannot hide a kind: with CPUs
+    ordered first, a flat window of ``limit`` would never reach a GPU
+    once ``limit`` CPU nodes qualify.
+    """
+    seen: Counter = Counter()
+    window = []
+    for node in nodes:
+        seen[node.kind] += 1
+        if seen[node.kind] <= limit:
+            window.append(node)
+    return window

@@ -21,7 +21,11 @@ class SystemConfig:
     sample_interval: float = 5.0  # memory-utilization sampling period
     drain_timeout: float = 240.0  # extra time after the trace to finish work
     max_queue_retries: int = 24  # placement retries per unblocking event
-    max_placement_candidates: int = 8  # instances/nodes probed per placement
+    # SLINFER's probe bounds per placement: the deployment's replicas
+    # tried for dispatch (first N in dispatch order), and the nodes tried
+    # for a new instance (first N of *each* hardware kind, best-fit order,
+    # so a CPU-first order cannot hide the GPUs).
+    max_placement_candidates: int = 8
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ def run_scheduling_overhead(
         )
         for pairs in node_pairs
     ]
-    empty = OverheadStat(count=0, total_seconds=0.0, mean_seconds=0.0)
+    empty = OverheadStat(count=0, total_seconds=0.0)
     return [
         OverheadPoint(
             total_nodes=2 * pairs,

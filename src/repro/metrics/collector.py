@@ -22,17 +22,22 @@ Either way, scheduling overheads accumulate as running count/sum/min/max
 (:class:`~repro.metrics.streaming.StreamingStat`): the report only ever
 derived count/total/mean from them, so keeping the raw per-call list was
 pure O(iterations) overhead.
+
+The operation counters (scale ops, migrations, evictions, preemptions,
+cold starts, prefix sharing) are not declared here: the collector
+inherits them from :class:`~repro.metrics.report.RunCounters`, the same
+table the report carries, and ``finalize`` copies them field by field.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.engine.request import Request
 from repro.hardware.specs import HardwareKind
-from repro.metrics.report import OverheadStat, RunReport
+from repro.metrics.report import OverheadStat, RunCounters, RunReport
 from repro.metrics.streaming import QuantileSketch, RequestAggregate, StreamingStat
 
 #: recognised collector modes
@@ -84,8 +89,13 @@ class _NodeActivity:
 
 
 @dataclass
-class MetricsCollector:
-    """Accumulates everything a RunReport needs."""
+class MetricsCollector(RunCounters):
+    """Accumulates everything a RunReport needs.
+
+    The operation counters are the inherited :class:`RunCounters`
+    fields, which policies, observers and the KV store increment, and
+    :meth:`finalize` copies into the report by iterating them.
+    """
 
     mode: str = "exact"
     requests: list[Request] = field(default_factory=list)
@@ -107,21 +117,6 @@ class MetricsCollector:
     #: for topologies with shared (contendable) links, in both metrics
     #: modes — the payload is bounded by the link count.
     link_stats: dict[str, dict] = field(default_factory=dict)
-    scaling_busy_seconds: float = 0.0
-    scaling_ops: int = 0
-    migrations: int = 0
-    evictions: int = 0  # §VII-D underestimation evictions only
-    preemptions: int = 0
-    cold_starts: int = 0
-    # Prefix-sharing counters (``repro.kv``); plain ints so both metrics
-    # modes carry them unchanged.  All stay 0 with sharing off, which
-    # keeps default report payloads byte-identical.
-    prefix_lookups: int = 0
-    prefix_lookup_tokens: int = 0
-    prefix_hit_tokens: int = 0
-    shared_block_refs: int = 0
-    logical_prompt_blocks: int = 0
-    cow_blocks: int = 0
     # Streaming-mode state (unused in exact mode).
     _pending: dict[int, Request] = field(default_factory=dict, repr=False)
     _aggregate: RequestAggregate | None = field(default=None, repr=False)
@@ -234,11 +229,7 @@ class MetricsCollector:
         for activity in self._nodes.values():
             node_seconds[activity.kind] += activity.busy_seconds(duration, now)
         overhead_stats = {
-            name: OverheadStat(
-                count=stat.count,
-                total_seconds=stat.total,
-                mean_seconds=stat.total / stat.count if stat.count else 0.0,
-            )
+            name: OverheadStat(count=stat.count, total_seconds=stat.total)
             for name, stat in self.overheads.items()
         }
         if self.streaming:
@@ -268,18 +259,6 @@ class MetricsCollector:
             kv_utilization_samples=list(self.kv_utilization_samples),
             overhead_stats=overhead_stats,
             link_utilization={k: dict(v) for k, v in self.link_stats.items()},
-            scaling_ops=self.scaling_ops,
-            scaling_busy_seconds=self.scaling_busy_seconds,
-            migrations=self.migrations,
-            evictions=self.evictions,
-            preemptions=self.preemptions,
-            cold_starts=self.cold_starts,
-            prefix_lookups=self.prefix_lookups,
-            prefix_lookup_tokens=self.prefix_lookup_tokens,
-            prefix_hit_tokens=self.prefix_hit_tokens,
-            shared_block_refs=self.shared_block_refs,
-            logical_prompt_blocks=self.logical_prompt_blocks,
-            cow_blocks=self.cow_blocks,
             metrics_mode=self.mode,
             request_aggregate=aggregate if self.streaming else None,
             memory_sketches=(
@@ -290,4 +269,5 @@ class MetricsCollector:
             kv_utilization_sketch=(
                 QuantileSketch.from_dict(self._kv_sketch.to_dict()) if self.streaming else None
             ),
+            **{f.name: getattr(self, f.name) for f in fields(RunCounters)},
         )

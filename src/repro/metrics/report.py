@@ -11,12 +11,19 @@ mode-agnostic — a streaming ``ttft_cdf()`` returns a
 :class:`~repro.metrics.streaming.QuantileSketch`, which answers the same
 percentile/mean/fraction_below/curve API as :class:`Cdf`.  Only the raw
 per-request views (``requests`` / ``completed``) are exact-only.
+
+Every additive per-run scalar is declared once, as a field of
+:class:`RunCounters` (the operation counters the collector accumulates)
+or :class:`RunTotals` (the report-only sums).  ``to_dict``,
+``from_dict`` and :func:`merge_run_reports` iterate those fields, so a
+new counter is one field: it is serialized, restored and merged (ints
+with ``sum``, floats with ``math.fsum``) without further edits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Union
 
 from repro.engine.request import Request, RequestState
@@ -27,12 +34,87 @@ from repro.metrics.streaming import QuantileSketch, RequestAggregate
 #: anything exposing the shared Cdf read API (percentile/mean/curve/...)
 Distribution = Union[Cdf, QuantileSketch]
 
+#: payload group of the prefix-sharing counters: nested under this key,
+#: and omitted while all are zero, so unshared payloads (and the golden
+#: fixtures) never carry it
+KV_SHARING = "kv_sharing"
+#: group of wall-clock measurements, which ``to_dict(include_volatile=False)``
+#: omits so the rest of the payload is determined by the spec and seed
+VOLATILE = "volatile"
+_KV = {"group": KV_SHARING}
+
+
+@dataclass(kw_only=True)
+class RunCounters:
+    """The run's operation counters (§VII/§VIII), declared once.
+
+    :class:`~repro.metrics.collector.MetricsCollector` accumulates them
+    and :class:`RunReport` carries them.  A field's type is its merge
+    rule and its ``metadata["group"]`` (if any) its payload group.
+    """
+
+    scaling_ops: int = 0
+    scaling_busy_seconds: float = 0.0
+    migrations: int = 0
+    evictions: int = 0  # §VII-D underestimation evictions only
+    preemptions: int = 0
+    cold_starts: int = 0
+    # Prefix-sharing counters (``repro.kv``), carried identically in both
+    # metrics modes; all 0 with sharing off.
+    prefix_lookups: int = field(default=0, metadata=_KV)
+    prefix_lookup_tokens: int = field(default=0, metadata=_KV)
+    prefix_hit_tokens: int = field(default=0, metadata=_KV)
+    shared_block_refs: int = field(default=0, metadata=_KV)
+    logical_prompt_blocks: int = field(default=0, metadata=_KV)
+    cow_blocks: int = field(default=0, metadata=_KV)
+
+
+@dataclass(kw_only=True)
+class RunTotals(RunCounters):
+    """The report's other additive scalars, merged like the counters."""
+
+    node_seconds_cpu: float = 0.0
+    node_seconds_gpu: float = 0.0
+    decode_tokens_cpu: int = 0
+    decode_tokens_gpu: int = 0
+    # Run-cost accounting (set by ServingSystem.finish_run).
+    events_processed: int = 0
+    wall_seconds: float = field(default=0.0, metadata={"group": VOLATILE})
+
+
+_SCALARS = fields(RunTotals)
+# The annotations are strings (``from __future__ import annotations``);
+# a scalar of any other type fails here, at import.
+_MERGE_RULES = {f.name: {"int": sum, "float": math.fsum}[f.type] for f in _SCALARS}
+
+
+def _group(group: str | None) -> tuple[str, ...]:
+    return tuple(f.name for f in _SCALARS if f.metadata.get("group") == group)
+
 
 @dataclass(frozen=True)
 class OverheadStat:
+    """Wall-clock cost of one instrumented section over a run."""
+
     count: int
     total_seconds: float
-    mean_seconds: float
+
+    @property
+    def mean_seconds(self) -> float:
+        return self.total_seconds / self.count if self.count else 0.0
+
+    @staticmethod
+    def encode(stats: dict[str, "OverheadStat"]) -> dict[str, list]:
+        """Payload rows ``[count, total_seconds, mean_seconds]``, by name."""
+        return {
+            name: [stat.count, stat.total_seconds, stat.mean_seconds]
+            for name, stat in sorted(stats.items())
+        }
+
+    @classmethod
+    def decode(cls, rows: dict[str, list]) -> dict[str, "OverheadStat"]:
+        """Inverse of :meth:`encode` (the stored mean is derived, not read)."""
+        return {name: cls(count=row[0], total_seconds=row[1]) for name, row in rows.items()}
 
 
 # Request fields serialized into report JSON, in row order.
@@ -83,16 +165,12 @@ def _request_from_row(row: list[Any]) -> Request:
 
 
 @dataclass
-class RunReport:
+class RunReport(RunTotals):
     """All measured outcomes of one serving run."""
 
     system: str
     duration: float
     requests: list[Request]
-    node_seconds_cpu: float = 0.0
-    node_seconds_gpu: float = 0.0
-    decode_tokens_cpu: int = 0
-    decode_tokens_gpu: int = 0
     batch_histogram: dict[int, int] = field(default_factory=dict)
     gpu_batch_histogram: dict[int, int] = field(default_factory=dict)
     memory_samples: dict[HardwareKind, list[float]] = field(default_factory=dict)
@@ -102,36 +180,25 @@ class RunReport:
     #: concurrency), present in both metrics modes for topologies with
     #: shared links; empty — and omitted from the payload — otherwise.
     link_utilization: dict[str, dict] = field(default_factory=dict)
-    scaling_ops: int = 0
-    scaling_busy_seconds: float = 0.0
-    migrations: int = 0
-    evictions: int = 0
-    preemptions: int = 0
-    cold_starts: int = 0
-    # Prefix-sharing counters (``repro.kv``), carried identically in both
-    # metrics modes; all 0 — and omitted from the payload — with sharing
-    # off, so default fixtures and fingerprints are untouched.
-    prefix_lookups: int = 0
-    prefix_lookup_tokens: int = 0
-    prefix_hit_tokens: int = 0
-    shared_block_refs: int = 0
-    logical_prompt_blocks: int = 0
-    cow_blocks: int = 0
-    # Run-cost accounting (set by ServingSystem.finish_run).
-    wall_seconds: float = 0.0
-    events_processed: int = 0
     # Streaming-mode payload (None/empty in exact mode).
     metrics_mode: str = "exact"
     request_aggregate: RequestAggregate | None = None
     memory_sketches: dict[HardwareKind, QuantileSketch] = field(default_factory=dict)
     kv_utilization_sketch: QuantileSketch | None = None
 
+    @property
+    def streaming(self) -> bool:
+        """Streaming metrics mode: the request aggregate and the sketches
+        stand in for the per-request ledger and the raw samples (the
+        collector, ``from_dict`` and the merge set all three together)."""
+        return self.metrics_mode == "streaming"
+
     # ------------------------------------------------------------------
     # Request outcomes
     # ------------------------------------------------------------------
     @property
     def total_requests(self) -> int:
-        if self.request_aggregate is not None:
+        if self.streaming:
             return self.request_aggregate.arrivals
         return len(self.requests)
 
@@ -141,7 +208,7 @@ class RunReport:
         return [r for r in self.requests if r.state is RequestState.COMPLETED]
 
     def _require_exact(self, what: str) -> None:
-        if self.request_aggregate is not None:
+        if self.streaming:
             raise RuntimeError(
                 f"RunReport.{what} needs per-request data, which streaming "
                 f"metrics mode does not retain; use the aggregate accessors "
@@ -150,19 +217,19 @@ class RunReport:
 
     @property
     def completed_count(self) -> int:
-        if self.request_aggregate is not None:
+        if self.streaming:
             return self.request_aggregate.completed
         return sum(1 for r in self.requests if r.state is RequestState.COMPLETED)
 
     @property
     def dropped_count(self) -> int:
-        if self.request_aggregate is not None:
+        if self.streaming:
             return self.request_aggregate.dropped
         return sum(1 for r in self.requests if r.state is RequestState.DROPPED)
 
     @property
     def slo_met_count(self) -> int:
-        if self.request_aggregate is not None:
+        if self.streaming:
             return self.request_aggregate.slo_met
         return sum(1 for r in self.requests if r.slo_met)
 
@@ -179,7 +246,7 @@ class RunReport:
 
     def ttft_cdf(self) -> Distribution:
         """TTFT of requests that produced a first token (Fig. 22 left)."""
-        if self.request_aggregate is not None:
+        if self.streaming:
             return self.request_aggregate.ttft
         values = [r.ttft for r in self.requests if r.ttft is not None]
         return Cdf.from_values(values)
@@ -212,12 +279,12 @@ class RunReport:
     # Efficiency (Fig. 25)
     # ------------------------------------------------------------------
     def memory_utilization_cdf(self, kind: HardwareKind = HardwareKind.GPU) -> Distribution:
-        if self.metrics_mode == "streaming":
+        if self.streaming:
             return self.memory_sketches.get(kind, QuantileSketch())
         return Cdf.from_values(self.memory_samples.get(kind, []))
 
     def kv_utilization_cdf(self) -> Distribution:
-        if self.kv_utilization_sketch is not None:
+        if self.streaming:
             return self.kv_utilization_sketch
         return Cdf.from_values(self.kv_utilization_samples)
 
@@ -284,15 +351,6 @@ class RunReport:
             return 0.0
         return self.shared_block_refs / self.logical_prompt_blocks
 
-    _KV_SHARING_FIELDS = (
-        "prefix_lookups",
-        "prefix_lookup_tokens",
-        "prefix_hit_tokens",
-        "shared_block_refs",
-        "logical_prompt_blocks",
-        "cow_blocks",
-    )
-
     @property
     def scaling_time_fraction(self) -> float:
         """Share of instance lifetime spent resizing KV (Fig. 31 overhead)."""
@@ -330,20 +388,16 @@ class RunReport:
     def to_dict(self, include_volatile: bool = True) -> dict:
         """A JSON-safe dict that round-trips through :meth:`from_dict`.
 
-        With ``include_volatile=False`` the wall-clock measurements
-        (``wall_seconds``, ``overhead_stats``) are omitted: the remainder
-        is fully determined by the run's spec and seed, so two runs of
-        the same spec — sequential or parallel, cached or fresh —
+        With ``include_volatile=False`` the wall-clock measurements (the
+        :data:`VOLATILE` scalars and ``overhead_stats``) are omitted: the
+        remainder is fully determined by the run's spec and seed, so two
+        runs of the same spec — sequential or parallel, cached or fresh —
         serialize to identical bytes.
         """
         payload: dict = {
             "system": self.system,
             "duration": self.duration,
             "requests": [_request_to_row(r) for r in self.requests],
-            "node_seconds_cpu": self.node_seconds_cpu,
-            "node_seconds_gpu": self.node_seconds_gpu,
-            "decode_tokens_cpu": self.decode_tokens_cpu,
-            "decode_tokens_gpu": self.decode_tokens_gpu,
             "batch_histogram": sorted(self.batch_histogram.items()),
             "gpu_batch_histogram": sorted(self.gpu_batch_histogram.items()),
             "memory_samples": {
@@ -353,14 +407,8 @@ class RunReport:
                 )
             },
             "kv_utilization_samples": list(self.kv_utilization_samples),
-            "scaling_ops": self.scaling_ops,
-            "scaling_busy_seconds": self.scaling_busy_seconds,
-            "migrations": self.migrations,
-            "evictions": self.evictions,
-            "preemptions": self.preemptions,
-            "cold_starts": self.cold_starts,
-            "events_processed": self.events_processed,
         }
+        payload.update((name, getattr(self, name)) for name in _group(None))
         # Only topologies with shared links record link utilization, and
         # the key is omitted when empty, so pre-topology payloads (and
         # the golden fixtures) serialize byte-identically.
@@ -369,54 +417,42 @@ class RunReport:
                 link_id: dict(stats)
                 for link_id, stats in sorted(self.link_utilization.items())
             }
-        # Prefix-sharing counters only exist when sharing ran, and the
-        # key is omitted when all are zero, so unshared payloads (and the
-        # golden fixtures) serialize byte-identically.
-        if any(getattr(self, name) for name in self._KV_SHARING_FIELDS):
-            payload["kv_sharing"] = {
-                name: getattr(self, name) for name in self._KV_SHARING_FIELDS
-            }
+        kv_sharing = {name: getattr(self, name) for name in _group(KV_SHARING)}
+        if any(kv_sharing.values()):
+            payload[KV_SHARING] = kv_sharing
         # Streaming keys appear only in streaming mode, so exact payloads
         # (and their cache fingerprints / golden fixtures) are unchanged.
-        if self.metrics_mode != "exact":
+        if self.streaming:
             payload["metrics_mode"] = self.metrics_mode
-            payload["request_aggregate"] = (
-                self.request_aggregate.to_dict() if self.request_aggregate is not None else None
-            )
+            payload["request_aggregate"] = self.request_aggregate.to_dict()
             payload["memory_sketches"] = {
                 kind.value: sketch.to_dict()
                 for kind, sketch in sorted(
                     self.memory_sketches.items(), key=lambda kv: kv[0].value
                 )
             }
-            payload["kv_utilization_sketch"] = (
-                self.kv_utilization_sketch.to_dict()
-                if self.kv_utilization_sketch is not None
-                else None
-            )
+            payload["kv_utilization_sketch"] = self.kv_utilization_sketch.to_dict()
         if include_volatile:
-            payload["wall_seconds"] = self.wall_seconds
-            payload["overhead_stats"] = {
-                name: [stat.count, stat.total_seconds, stat.mean_seconds]
-                for name, stat in sorted(self.overhead_stats.items())
-            }
+            payload.update((name, getattr(self, name)) for name in _group(VOLATILE))
+            payload["overhead_stats"] = OverheadStat.encode(self.overhead_stats)
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
-        overhead_stats = {
-            name: OverheadStat(count=row[0], total_seconds=row[1], mean_seconds=row[2])
-            for name, row in payload.get("overhead_stats", {}).items()
-        }
-        kv_sharing = payload.get("kv_sharing", {})
+        streaming = payload.get("metrics_mode", "exact") == "streaming"
+        kv_sharing = payload.get(KV_SHARING, {})
+        scalars = {}
+        for f in _SCALARS:
+            group = f.metadata.get("group")
+            if group is None:
+                scalars[f.name] = payload[f.name]
+            else:
+                source = kv_sharing if group == KV_SHARING else payload
+                scalars[f.name] = source.get(f.name, f.default)
         return cls(
             system=payload["system"],
             duration=payload["duration"],
             requests=[_request_from_row(row) for row in payload["requests"]],
-            node_seconds_cpu=payload["node_seconds_cpu"],
-            node_seconds_gpu=payload["node_seconds_gpu"],
-            decode_tokens_cpu=payload["decode_tokens_cpu"],
-            decode_tokens_gpu=payload["decode_tokens_gpu"],
             batch_histogram={int(k): v for k, v in payload["batch_histogram"]},
             gpu_batch_histogram={int(k): v for k, v in payload["gpu_batch_histogram"]},
             memory_samples={
@@ -424,40 +460,23 @@ class RunReport:
                 for kind, samples in payload["memory_samples"].items()
             },
             kv_utilization_samples=list(payload["kv_utilization_samples"]),
-            overhead_stats=overhead_stats,
+            overhead_stats=OverheadStat.decode(payload.get("overhead_stats", {})),
             link_utilization={
                 link_id: dict(stats)
                 for link_id, stats in payload.get("link_utilization", {}).items()
             },
-            scaling_ops=payload["scaling_ops"],
-            scaling_busy_seconds=payload["scaling_busy_seconds"],
-            migrations=payload["migrations"],
-            evictions=payload["evictions"],
-            preemptions=payload["preemptions"],
-            cold_starts=payload["cold_starts"],
-            prefix_lookups=kv_sharing.get("prefix_lookups", 0),
-            prefix_lookup_tokens=kv_sharing.get("prefix_lookup_tokens", 0),
-            prefix_hit_tokens=kv_sharing.get("prefix_hit_tokens", 0),
-            shared_block_refs=kv_sharing.get("shared_block_refs", 0),
-            logical_prompt_blocks=kv_sharing.get("logical_prompt_blocks", 0),
-            cow_blocks=kv_sharing.get("cow_blocks", 0),
-            wall_seconds=payload.get("wall_seconds", 0.0),
-            events_processed=payload["events_processed"],
             metrics_mode=payload.get("metrics_mode", "exact"),
             request_aggregate=(
-                RequestAggregate.from_dict(payload["request_aggregate"])
-                if payload.get("request_aggregate") is not None
-                else None
+                RequestAggregate.from_dict(payload["request_aggregate"]) if streaming else None
             ),
             memory_sketches={
                 HardwareKind(kind): QuantileSketch.from_dict(sketch)
                 for kind, sketch in payload.get("memory_sketches", {}).items()
             },
             kv_utilization_sketch=(
-                QuantileSketch.from_dict(payload["kv_utilization_sketch"])
-                if payload.get("kv_utilization_sketch") is not None
-                else None
+                QuantileSketch.from_dict(payload["kv_utilization_sketch"]) if streaming else None
             ),
+            **scalars,
         )
 
 
@@ -482,19 +501,16 @@ def merge_run_reports(reports: Iterable["RunReport"]) -> "RunReport":
     if len(modes) > 1:
         raise ValueError(f"cannot merge reports with mixed metrics modes: {sorted(modes)}")
     first = reports[0]
-    streaming = first.metrics_mode == "streaming"
 
     merged_aggregate = None
     merged_memory: dict[HardwareKind, QuantileSketch] = {}
     merged_kv = None
-    if streaming:
+    if first.streaming:
         merged_aggregate = RequestAggregate()
         merged_kv = QuantileSketch()
         for report in reports:
-            if report.request_aggregate is not None:
-                merged_aggregate.merge(report.request_aggregate)
-            if report.kv_utilization_sketch is not None:
-                merged_kv.merge(report.kv_utilization_sketch)
+            merged_aggregate.merge(report.request_aggregate)
+            merged_kv.merge(report.kv_utilization_sketch)
             for kind, sketch in report.memory_sketches.items():
                 merged_memory.setdefault(kind, QuantileSketch()).merge(sketch)
 
@@ -502,7 +518,7 @@ def merge_run_reports(reports: Iterable["RunReport"]) -> "RunReport":
     gpu_batch_histogram: dict[int, int] = {}
     memory_samples: dict[HardwareKind, list[float]] = {}
     kv_samples: list[float] = []
-    overheads: dict[str, list[float]] = {}
+    overhead_stats: dict[str, OverheadStat] = {}
     link_utilization: dict[str, dict] = {}
     for report in reports:
         for link_id, stats in report.link_utilization.items():
@@ -531,48 +547,25 @@ def merge_run_reports(reports: Iterable["RunReport"]) -> "RunReport":
             memory_samples.setdefault(kind, []).extend(samples)
         kv_samples.extend(report.kv_utilization_samples)
         for name, stat in report.overhead_stats.items():
-            overheads.setdefault(name, [0, 0.0])
-            overheads[name][0] += stat.count
-            overheads[name][1] += stat.total_seconds
-    overhead_stats = {
-        name: OverheadStat(
-            count=count,
-            total_seconds=total,
-            mean_seconds=total / count if count else 0.0,
-        )
-        for name, (count, total) in overheads.items()
-    }
+            seen = overhead_stats.get(name, OverheadStat(count=0, total_seconds=0.0))
+            overhead_stats[name] = OverheadStat(
+                count=seen.count + stat.count,
+                total_seconds=seen.total_seconds + stat.total_seconds,
+            )
 
     return RunReport(
         system=first.system,
         duration=math.fsum(report.duration for report in reports),
         requests=[request for report in reports for request in report.requests],
-        node_seconds_cpu=math.fsum(report.node_seconds_cpu for report in reports),
-        node_seconds_gpu=math.fsum(report.node_seconds_gpu for report in reports),
-        decode_tokens_cpu=sum(report.decode_tokens_cpu for report in reports),
-        decode_tokens_gpu=sum(report.decode_tokens_gpu for report in reports),
         batch_histogram=batch_histogram,
         gpu_batch_histogram=gpu_batch_histogram,
         memory_samples=memory_samples,
         kv_utilization_samples=kv_samples,
         overhead_stats=overhead_stats,
         link_utilization=link_utilization,
-        scaling_ops=sum(report.scaling_ops for report in reports),
-        scaling_busy_seconds=math.fsum(report.scaling_busy_seconds for report in reports),
-        migrations=sum(report.migrations for report in reports),
-        evictions=sum(report.evictions for report in reports),
-        preemptions=sum(report.preemptions for report in reports),
-        cold_starts=sum(report.cold_starts for report in reports),
-        prefix_lookups=sum(report.prefix_lookups for report in reports),
-        prefix_lookup_tokens=sum(report.prefix_lookup_tokens for report in reports),
-        prefix_hit_tokens=sum(report.prefix_hit_tokens for report in reports),
-        shared_block_refs=sum(report.shared_block_refs for report in reports),
-        logical_prompt_blocks=sum(report.logical_prompt_blocks for report in reports),
-        cow_blocks=sum(report.cow_blocks for report in reports),
-        wall_seconds=math.fsum(report.wall_seconds for report in reports),
-        events_processed=sum(report.events_processed for report in reports),
         metrics_mode=first.metrics_mode,
         request_aggregate=merged_aggregate,
         memory_sketches=merged_memory,
         kv_utilization_sketch=merged_kv,
+        **{name: rule(getattr(r, name) for r in reports) for name, rule in _MERGE_RULES.items()},
     )

@@ -24,7 +24,11 @@ import dataclasses
 from typing import TYPE_CHECKING, Collection, Optional
 
 from repro.compute.shadow import ShadowInstance, ShadowVerdict, shadow_validate
-from repro.consolidation.binpack import order_dispatch_candidates, order_nodes_best_fit
+from repro.consolidation.binpack import (
+    first_per_kind,
+    order_dispatch_candidates,
+    order_nodes_best_fit,
+)
 from repro.consolidation.preemption import plan_preemption
 from repro.core.config import SlinferConfig, SystemConfig
 from repro.engine.executor import Executor
@@ -497,7 +501,7 @@ class SlinferPlacement(PlacementPolicy):
             prefer_cpu=self.cfg.enable_cpu,
         )
         topology = system.cluster.topology
-        candidates = ordered[: self.cfg.max_placement_candidates]
+        candidates = first_per_kind(ordered, self.cfg.max_placement_candidates)
         if topology.has_shared_links:
             # Topology seam: within the best-fit candidate window, try
             # nodes whose inbound links are idle first — a cold start

@@ -15,21 +15,26 @@ wall-clock timing envelope differs).
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Sequence
 
 from repro.registry import build_cluster, system_factory
 from repro.runner.cache import ResultCache
+from repro.runner.env import env_setting
 from repro.runner.spec import RunResult, RunSpec, build_workload_stream
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(raw)
+    return value
+
+
 def default_workers() -> int:
-    """Worker-count default from the ``REPRO_WORKERS`` environment variable."""
-    try:
-        return max(1, int(os.environ.get("REPRO_WORKERS", "1")))
-    except ValueError:
-        return 1
+    """Worker-count default from the ``REPRO_WORKERS`` environment variable
+    (unset or empty: 1; anything but a positive integer is an error)."""
+    return env_setting("REPRO_WORKERS", 1, _positive_int, "a positive integer")
 
 
 def build_system(spec: RunSpec, **system_kwargs: Any):

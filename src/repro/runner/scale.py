@@ -13,10 +13,10 @@ the ``REPRO_SCALE`` environment variable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any
 
+from repro.runner.env import env_setting
 from repro.workloads.azure_serverless import REQUESTS_PER_MODEL_30MIN
 
 
@@ -61,7 +61,8 @@ def get_scale(name: str) -> ExperimentScale:
 def current_scale() -> ExperimentScale:
     """Scale selected via the ``REPRO_SCALE`` environment variable.
 
-    The environment default is lenient (unset or unrecognized values
-    mean ``quick``) so ad-hoc shells never crash at import time.
+    Unset or empty means ``quick``; an unknown label is an error naming
+    the variable, as :func:`get_scale` is for an explicit one.
     """
-    return SCALES.get(os.environ.get("REPRO_SCALE", "quick").lower(), QUICK_SCALE)
+    known = ", ".join(sorted(SCALES))
+    return env_setting("REPRO_SCALE", QUICK_SCALE, get_scale, f"a scale (known: {known})")

@@ -418,10 +418,7 @@ class RunResult:
             "report": self.canonical_report_dict(),
             "timing": {
                 "wall_seconds": self.wall_seconds,
-                "overhead_stats": {
-                    name: [stat.count, stat.total_seconds, stat.mean_seconds]
-                    for name, stat in sorted(self.report.overhead_stats.items())
-                },
+                "overhead_stats": OverheadStat.encode(self.report.overhead_stats),
             },
         }
 
@@ -432,10 +429,7 @@ class RunResult:
         # Restore the volatile envelope so a round-tripped report keeps
         # its original run cost (the canonical view still excludes it).
         report.wall_seconds = timing["wall_seconds"]
-        report.overhead_stats = {
-            name: OverheadStat(count=row[0], total_seconds=row[1], mean_seconds=row[2])
-            for name, row in timing.get("overhead_stats", {}).items()
-        }
+        report.overhead_stats = OverheadStat.decode(timing.get("overhead_stats", {}))
         return cls(
             spec=RunSpec.from_dict(payload["spec"]),
             fingerprint=payload["fingerprint"],

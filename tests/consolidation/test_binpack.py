@@ -1,6 +1,7 @@
 """Tests for reactive consolidation orderings (§VIII-B)."""
 
 from repro.consolidation import order_dispatch_candidates, order_nodes_best_fit
+from repro.consolidation.binpack import first_per_kind
 from repro.engine.instance import Instance
 from repro.engine.request import Request
 from repro.hardware import A100_80GB, XEON_GEN4_32C
@@ -78,3 +79,10 @@ def test_best_fit_filters_nodes_that_cannot_fit():
         nodes, free_bytes=lambda n: free[n.node_id], required_bytes=16 * GIB
     )
     assert [n.node_id for n in ordered] == ["gpu-1"]
+
+
+def test_first_per_kind_keeps_every_kind_in_order():
+    cpus = [Node(f"cpu-{i}", XEON_GEN4_32C) for i in range(3)]
+    gpus = [Node(f"gpu-{i}", A100_80GB) for i in range(2)]
+    window = first_per_kind(cpus + gpus, limit=2)
+    assert [n.node_id for n in window] == ["cpu-0", "cpu-1", "gpu-0", "gpu-1"]

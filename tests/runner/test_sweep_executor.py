@@ -218,7 +218,8 @@ def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "3")
     assert SweepExecutor().workers == 3
     monkeypatch.setenv("REPRO_WORKERS", "junk")
-    assert SweepExecutor().workers == 1
+    with pytest.raises(ValueError, match="REPRO_WORKERS='junk'"):
+        SweepExecutor()
     monkeypatch.delenv("REPRO_WORKERS")
     assert SweepExecutor().workers == 1
 
