@@ -7,21 +7,21 @@ falsify *after* a hazard ships:
 * ``no-wall-clock`` — host-clock reads inside deterministic modules.
 * ``no-ambient-rng`` — RNG outside the seeded ``repro.sim.rng`` seam.
 * ``unordered-iteration`` — set-ordered iteration feeding scheduling.
-* ``fingerprint-axis`` — RunSpec axes missing from payload/fingerprint
-  registries.
 * ``handler-purity`` — event-bus handlers touching the scheduler heap
   or re-entering ``publish``.
 * ``engine-seam`` — Simulator private state accessed outside
   ``repro/sim``.
 * ``float-accum`` — bare ``sum()`` over floats in metrics hot paths.
 * ``typed-defs`` — incomplete annotations in strict-tier packages.
+
+``RunSpec`` axes need no rule: ``to_dict``, ``from_dict`` and
+``fingerprint`` iterate the dataclass fields, and
+``tests/runner/test_spec_axes.py`` checks every field at run time.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
-import importlib
 from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.engine import FileContext, Rule, register_rule
@@ -429,165 +429,6 @@ class UnorderedIterationRule(Rule):
                     f"iteration over {described}: order is nondeterministic "
                     "across interpreters; wrap in sorted(...)",
                 )
-
-
-# ----------------------------------------------------------------------
-# fingerprint-axis
-# ----------------------------------------------------------------------
-@register_rule
-class FingerprintAxisRule(Rule):
-    """Every ``RunSpec`` axis must be registered for serialization.
-
-    Cross-checks the dataclass fields (via import when the module is
-    importable, AST otherwise) against the ``PAYLOAD_OPTIONAL_AXES`` /
-    ``FINGERPRINT_EXEMPT_AXES`` registries and the ``to_dict`` /
-    ``fingerprint`` bodies, so a new sweep axis cannot silently skip
-    the cache key.
-    """
-
-    rule_id = "fingerprint-axis"
-    description = (
-        "RunSpec dataclass fields must be serialized by to_dict and "
-        "registered in PAYLOAD_OPTIONAL_AXES / FINGERPRINT_EXEMPT_AXES"
-    )
-
-    CLASS_NAME = "RunSpec"
-    OPTIONAL_REGISTRY = "PAYLOAD_OPTIONAL_AXES"
-    EXEMPT_REGISTRY = "FINGERPRINT_EXEMPT_AXES"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        spec_class: ast.ClassDef | None = None
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == self.CLASS_NAME:
-                spec_class = node
-                break
-        if spec_class is None:
-            return
-
-        fields = self._field_names(ctx, spec_class)
-        optional = self._registry_keys(ctx.tree, self.OPTIONAL_REGISTRY)
-        exempt = self._registry_keys(ctx.tree, self.EXEMPT_REGISTRY)
-        if optional is None or exempt is None:
-            missing = [
-                name
-                for name, value in (
-                    (self.OPTIONAL_REGISTRY, optional),
-                    (self.EXEMPT_REGISTRY, exempt),
-                )
-                if value is None
-            ]
-            yield ctx.finding(
-                spec_class,
-                self.rule_id,
-                f"{self.CLASS_NAME} module must declare {' and '.join(missing)} "
-                "as literal registries next to the class",
-            )
-            return
-
-        to_dict_refs = self._method_refs(spec_class, "to_dict")
-        fingerprint_refs = self._method_refs(spec_class, "fingerprint")
-
-        for axis in sorted(set(optional) - set(fields)):
-            yield ctx.finding(
-                spec_class,
-                self.rule_id,
-                f"{self.OPTIONAL_REGISTRY} names '{axis}', which is not a "
-                f"{self.CLASS_NAME} field; remove the stale entry",
-            )
-        for axis in sorted(set(exempt) - set(fields)):
-            yield ctx.finding(
-                spec_class,
-                self.rule_id,
-                f"{self.EXEMPT_REGISTRY} names '{axis}', which is not a "
-                f"{self.CLASS_NAME} field; remove the stale entry",
-            )
-        serialized = to_dict_refs | set(optional)
-        for axis in fields:
-            if axis not in serialized:
-                yield ctx.finding(
-                    spec_class,
-                    self.rule_id,
-                    f"new {self.CLASS_NAME} axis '{axis}' is not serialized by "
-                    "to_dict(); add it to the payload or register it in "
-                    f"{self.OPTIONAL_REGISTRY} (it would silently skip the "
-                    "result-cache fingerprint)",
-                )
-        if exempt and self.EXEMPT_REGISTRY not in fingerprint_refs:
-            missing_pops = [axis for axis in sorted(exempt) if axis not in fingerprint_refs]
-            if missing_pops:
-                yield ctx.finding(
-                    spec_class,
-                    self.rule_id,
-                    f"fingerprint() does not drop the exempt axes "
-                    f"{missing_pops}; iterate {self.EXEMPT_REGISTRY} (or pop "
-                    "each axis) before hashing",
-                )
-
-    def _field_names(self, ctx: FileContext, spec_class: ast.ClassDef) -> list[str]:
-        if ctx.module is not None and ctx.module.startswith("repro."):
-            try:
-                module = importlib.import_module(ctx.module)
-                real = getattr(module, self.CLASS_NAME)
-                return [f.name for f in dataclasses.fields(real)]
-            except Exception:
-                pass  # fall back to the AST view
-        names: list[str] = []
-        for stmt in spec_class.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                if "ClassVar" not in ast.dump(stmt.annotation):
-                    names.append(stmt.target.id)
-        return names
-
-    def _registry_keys(self, tree: ast.Module, name: str) -> list[str] | None:
-        for node in tree.body:
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-                value = node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-                value = node.value
-            else:
-                continue
-            if any(
-                isinstance(target, ast.Name) and target.id == name
-                for target in targets
-            ):
-                return self._literal_keys(value)
-        return None
-
-    def _literal_keys(self, value: ast.expr) -> list[str]:
-        if isinstance(value, ast.Dict):
-            return [
-                key.value
-                for key in value.keys
-                if isinstance(key, ast.Constant) and isinstance(key.value, str)
-            ]
-        if isinstance(value, ast.Call) and value.args:
-            return self._literal_keys(value.args[0])
-        if isinstance(value, (ast.Set, ast.List, ast.Tuple)):
-            return [
-                el.value
-                for el in value.elts
-                if isinstance(el, ast.Constant) and isinstance(el.value, str)
-            ]
-        return []
-
-    def _method_refs(self, spec_class: ast.ClassDef, method: str) -> set[str]:
-        """String constants, self-attributes, and names used in a method."""
-        refs: set[str] = set()
-        for stmt in spec_class.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == method:
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                        refs.add(node.value)
-                    elif isinstance(node, ast.Attribute) and isinstance(
-                        node.value, ast.Name
-                    ):
-                        if node.value.id == "self":
-                            refs.add(node.attr)
-                    elif isinstance(node, ast.Name):
-                        refs.add(node.id)
-        return refs
 
 
 # ----------------------------------------------------------------------

@@ -41,6 +41,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.kv import KV_SHARING_MODES
+from repro.metrics.collector import METRICS_MODES
 from repro.models import CATALOG, get_model
 from repro.policies import POLICY_KINDS, POLICY_REGISTRIES, BUNDLES, resolve_policy
 from repro.registry import (
@@ -58,6 +60,7 @@ from repro.registry import (
     system_factory,
 )
 from repro.runner import (
+    SCALES,
     ResultCache,
     RunSpec,
     SweepExecutor,
@@ -300,13 +303,6 @@ def _render_hardware(payload: dict[str, Any]) -> None:
         print(f"  {topology['describe']}")
 
 
-def _kv_sharing_payload() -> dict[str, str]:
-    return {
-        "off": "per-request KV accounting (default; byte-identical to prior runs)",
-        "on": "prefix-sharing block map (radix cache, copy-on-write, LRU eviction)",
-    }
-
-
 def _render_kv_sharing(payload: dict[str, str]) -> None:
     print("kv sharing (use with 'sweep --kv-sharing MODE'):")
     for mode, summary in payload.items():
@@ -322,7 +318,7 @@ LIST_KINDS: dict[str, tuple[Callable[[], Any], Callable[[Any], None]]] = {
         lambda: _registry_payload(SCENARIOS),
         _render_names("scenarios"),
     ),
-    "kv-sharing": (_kv_sharing_payload, _render_kv_sharing),
+    "kv-sharing": (lambda: dict(KV_SHARING_MODES), _render_kv_sharing),
     "engines": (
         lambda: ENGINES.names(),
         _render_names("engines (byte-identical backends; use with 'sweep --engine NAME')"),
@@ -528,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: each cluster's own; see 'repro list hardware')",
     )
     sweep.add_argument("--seeds", default="1", help="comma list of seeds")
-    sweep.add_argument("--scale", default="quick", choices=["full", "quick", "smoke"])
+    sweep.add_argument("--scale", default="quick", choices=list(SCALES))
     sweep.add_argument("--duration", type=float, default=None, help="override scale window (s)")
     sweep.add_argument(
         "--policy",
@@ -538,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy reclaim=keepalive,never sweeps the 2x2 mechanism matrix",
     )
     sweep.add_argument(
-        "--metrics", default="exact", choices=["exact", "streaming"],
+        "--metrics", default="exact", choices=list(METRICS_MODES),
         help="metrics mode: exact keeps every sample; streaming uses "
         "bounded-memory sketches (required for long-horizon runs)",
     )
@@ -549,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reference is the scalar parity oracle)",
     )
     sweep.add_argument(
-        "--kv-sharing", dest="kv_sharing", default="off", choices=["off", "on"],
+        "--kv-sharing", dest="kv_sharing", default="off", choices=list(KV_SHARING_MODES),
         help="prefix-sharing block-map KV subsystem (radix prefix cache, "
         "copy-on-write, supply-coupled admission); changes results, so "
         "on-mode specs fingerprint separately",
@@ -602,16 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology", default="", help="named interconnect topology (default: cluster's own)"
     )
     serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument("--scale", default="quick", choices=["full", "quick", "smoke"])
+    serve.add_argument("--scale", default="quick", choices=list(SCALES))
     serve.add_argument("--duration", type=float, default=None, help="override scale window (s)")
     serve.add_argument(
         "--policy", action="append", metavar="KIND=SPEC",
         help="policy override (repeatable, one spec per kind)",
     )
-    serve.add_argument("--metrics", default="exact", choices=["exact", "streaming"])
+    serve.add_argument("--metrics", default="exact", choices=list(METRICS_MODES))
     serve.add_argument("--engine", default=None, choices=ENGINES.names())
     serve.add_argument(
-        "--kv-sharing", dest="kv_sharing", default="off", choices=["off", "on"]
+        "--kv-sharing", dest="kv_sharing", default="off", choices=list(KV_SHARING_MODES)
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0, help="0 picks a free port")
@@ -637,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run the core benchmark suite and write BENCH_core.json"
     )
     bench.add_argument(
-        "--scale", default=None, choices=["full", "quick", "smoke"],
+        "--scale", default=None, choices=list(SCALES),
         help="suite scale (default: REPRO_SCALE, falling back to quick)",
     )
     bench.add_argument("--repeats", type=int, default=None, help="timed rounds per case")
@@ -660,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the determinism/invariant static-analysis rules",
         description=(
             "AST-based lint of simulation determinism contracts: wall-clock "
-            "reads, ambient RNG, unordered iteration, fingerprint axes, "
-            "handler purity, engine seams, float accumulation, strict typing. "
+            "reads, ambient RNG, unordered iteration, handler purity, engine "
+            "seams, float accumulation, strict typing. "
             "Suppress a finding with '# repro: allow[rule-id]' on its line. "
             "Exit 0 clean; 1 on findings; 2 on usage errors."
         ),

@@ -39,7 +39,7 @@ from repro.engine.instance import Instance, InstanceState
 from repro.engine.request import Request, RequestState
 from repro.hardware.cluster import Cluster
 from repro.hardware.node import Node
-from repro.kv import KvShareAdmission, KvShareStore
+from repro.kv import KV_SHARING_MODES, KvShareAdmission, KvShareStore
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import RunReport
 from repro.perf.database import PerfDatabase
@@ -89,8 +89,11 @@ class ServingSystem:
             from repro.policies.registry import build_bundle
 
             policies = build_bundle(policies)
-        if kv_sharing not in ("off", "on"):
-            raise ValueError(f"unknown kv_sharing mode {kv_sharing!r}")
+        if kv_sharing not in KV_SHARING_MODES:
+            raise ValueError(
+                f"unknown kv_sharing mode {kv_sharing!r} "
+                f"(known: {', '.join(KV_SHARING_MODES)})"
+            )
         self.kv_sharing = kv_sharing
         if kv_sharing == "on":
             # Couple admission to block supply; no label suffix — the

@@ -24,9 +24,16 @@ from repro.kv.blockpool import Block, BlockPool
 from repro.kv.prefix import PrefixIndex, PrefixNode, block_key, parse_segments
 from repro.kv.store import KvShareStore
 
+#: The ``kv_sharing`` run axis: mode -> one-line summary (``repro list kv-sharing``).
+KV_SHARING_MODES: dict[str, str] = {
+    "off": "per-request KV accounting (default; byte-identical to prior runs)",
+    "on": "prefix-sharing block map (radix cache, copy-on-write, LRU eviction)",
+}
+
 __all__ = [
     "Block",
     "BlockPool",
+    "KV_SHARING_MODES",
     "KvShareAdmission",
     "KvShareStore",
     "PrefixIndex",

@@ -45,7 +45,7 @@ Contracts:
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Optional
 
@@ -199,6 +199,13 @@ def _bundle_system_factory(bundle_name: str) -> Callable[..., ServingSystem]:
         bundle = build_bundle(bundle_name, overrides=policy_overrides, **bundle_kwargs)
         if config_overrides:
             base = config or (bundle.default_config or SystemConfig)()
+            known = {entry.name for entry in fields(base)}
+            for key in sorted(config_overrides):
+                if key not in known:
+                    raise ValueError(
+                        f"system {bundle_name!r} has no config field {key!r} "
+                        f"({type(base).__name__} fields: {', '.join(sorted(known))})"
+                    )
             config = replace(base, **config_overrides)
         return ServingSystem(
             cluster, policies=bundle, slo=slo, config=config, observers=observers,

@@ -16,12 +16,13 @@ wall-clock timing envelope differs).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields as dataclass_fields
 from typing import Any, Sequence
 
 from repro.registry import build_cluster, system_factory
 from repro.runner.cache import ResultCache
 from repro.runner.env import env_setting
-from repro.runner.spec import RunResult, RunSpec, build_workload_stream
+from repro.runner.spec import RunResult, RunSpec, axis_value, build_workload_stream
 
 
 def _positive_int(raw: str) -> int:
@@ -42,22 +43,18 @@ def build_system(spec: RunSpec, **system_kwargs: Any):
 
     The single assembly point shared by :func:`execute_spec` and the
     gateway bridge, so a live run faces exactly the system a batch run
-    of the same spec would.  Axis kwargs are only forwarded when
-    non-default, so system factories written before an axis existed
-    keep working for every default-valued spec.  Any explicit engine
-    name is forwarded, so a spec pinned to ``reference`` runs it even
-    when ``REPRO_ENGINE`` names another backend.
+    of the same spec would.  Each axis whose field names a ``forward``
+    keyword is passed under it only when non-default, so system
+    factories written before an axis existed keep working for every
+    default-valued spec; explicit ``system_kwargs`` win.  Any explicit
+    engine name is forwarded, so a spec pinned to ``reference`` runs it
+    even when ``REPRO_ENGINE`` names another backend.
     """
-    if spec.config:
-        system_kwargs.setdefault("config_overrides", dict(spec.config))
-    if spec.policy_overrides:
-        system_kwargs.setdefault("policy_overrides", dict(spec.policy_overrides))
-    if spec.metrics != "exact":
-        system_kwargs.setdefault("metrics", spec.metrics)
-    if spec.engine is not None:
-        system_kwargs.setdefault("engine", spec.engine)
-    if spec.kv_sharing != "off":
-        system_kwargs.setdefault("kv_sharing", spec.kv_sharing)
+    for entry in dataclass_fields(spec):
+        keyword = entry.metadata.get("forward")
+        value = getattr(spec, entry.name)
+        if keyword is not None and value != entry.default:
+            system_kwargs.setdefault(keyword, axis_value(value))
     return system_factory(spec.system)(
         build_cluster(spec.cluster, topology=spec.topology), **system_kwargs
     )

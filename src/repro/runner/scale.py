@@ -32,7 +32,7 @@ class ExperimentScale:
         return REQUESTS_PER_MODEL_30MIN * self.duration / 1800.0
 
     def spec_axes(self) -> dict[str, Any]:
-        """``RunSpec`` axes replaying this window (explicit for unregistered labels)."""
+        """``RunSpec`` axes replaying this window: its label and its duration."""
         return {"scale": self.label, "duration": self.duration}
 
 

@@ -6,6 +6,14 @@ and the trace scale.  Everything is a registry name or a JSON-safe
 value, so a spec is trivially picklable (for worker processes) and
 hashable into a stable fingerprint (for the on-disk result cache).
 
+Each ``RunSpec`` field is one sweep axis, and the field is its only
+declaration: ``to_dict``, ``from_dict``, ``fingerprint`` and
+:func:`~repro.runner.executor.build_system` iterate the dataclass
+fields.  Adding an axis is one field; give it :func:`axis` metadata when
+the payload must omit its default (so fingerprints minted before the
+axis existed stay valid), when it must not key the result cache, or
+when a non-default value is forwarded to the system factory.
+
 :func:`expand_grid` produces the cross-product of spec axes for sweeps;
 :class:`RunResult` is the envelope the executor returns — the measured
 :class:`~repro.metrics.report.RunReport` plus wall-clock timing and the
@@ -20,43 +28,53 @@ the request list.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from typing import Any, Iterable, Sequence
 
 from repro.core.config import SlinferConfig
+from repro.kv import KV_SHARING_MODES
+from repro.metrics.collector import METRICS_MODES
 from repro.metrics.report import OverheadStat, RunReport
 from repro.models.catalog import get_model
 from repro.registry import resolve_scenario
 from repro.runner.scale import get_scale
+from repro.sim.engine import ENGINES
 from repro.workloads.azure_serverless import REQUESTS_PER_MODEL_30MIN
 from repro.workloads.spec import Workload
 from repro.workloads.stream import WorkloadStream
 
 PAYLOAD_VERSION = 1
 
-#: Axes serialized only when non-default: each entry maps a
-#: :class:`RunSpec` field to the default that is *omitted* from the
-#: payload, so fingerprints (and cached results) minted before the axis
-#: existed stay valid for default-valued specs.  The ``fingerprint-axis``
-#: lint rule cross-checks this registry against the dataclass fields —
-#: a new sweep axis must either always serialize or register here.
-PAYLOAD_OPTIONAL_AXES: dict[str, Any] = {
-    "topology": None,
-    "policy_overrides": (),
-    "metrics": "exact",
-    "engine": None,
-    "kv_sharing": "off",
-    "federation": None,
-    "config": (),
-}
 
-#: Axes excluded from the fingerprint even when serialized.  Engine
-#: backends are byte-identical by contract, so an engine choice is part
-#: of *how* a spec runs, not *what* it measures: it must never fork (or
-#: invalidate) the result cache.
-FINGERPRINT_EXEMPT_AXES: frozenset[str] = frozenset({"engine"})
+def axis(
+    default: Any,
+    *,
+    omit_default: bool = False,
+    hashed: bool = True,
+    forward: str | None = None,
+) -> Any:
+    """A :class:`RunSpec` field whose metadata carries its serialization rules.
+
+    ``omit_default`` leaves the field out of the payload while it holds
+    its default, so payloads (fingerprints, cached results) minted before
+    the axis existed stay valid for default-valued specs.  ``hashed=False``
+    keeps a serialized field out of the fingerprint.  ``forward`` names
+    the system-factory keyword a non-default value is passed as.
+    """
+    return field(
+        default=default,
+        metadata={"omit_default": omit_default, "hashed": hashed, "forward": forward},
+    )
+
+
+def axis_value(value: Any) -> Any:
+    """An axis value as it crosses the payload: a pair tuple becomes a dict."""
+    if not isinstance(value, tuple):
+        return value
+    return {key: list(item) if isinstance(item, tuple) else item for key, item in value}
 
 
 def _freeze_params(params: Any) -> tuple[tuple[str, Any], ...]:
@@ -108,64 +126,60 @@ class RunSpec:
     n_models: int = 32
     cluster: str = "paper"
     # Named interconnect topology replacing the cluster's own; None keeps
-    # the cluster factory's choice (the uniform default for most shapes)
-    # and is omitted from the fingerprint for pre-topology cache compat.
-    topology: str | None = None
+    # the cluster factory's choice (the uniform default for most shapes).
+    topology: str | None = axis(None, omit_default=True)
     seed: int = 1
     scale: str = "quick"
     duration: float | None = None  # explicit override of the scale's window
-    scenario_params: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
+    scenario_params: tuple[tuple[str, Any], ...] = ()
     # Policy ablations: (kind, spec) pairs replacing one mechanism of the
-    # system's bundle, e.g. (("reclaim", "never"),).  Folded into the
-    # fingerprint, so every policy combination caches separately.
-    policy_overrides: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    # system's bundle, e.g. (("reclaim", "never"),).  Every policy
+    # combination caches separately.
+    policy_overrides: tuple[tuple[str, str], ...] = axis(
+        (), omit_default=True, forward="policy_overrides"
+    )
     # Metrics accumulation mode: "exact" (lossless, O(requests) memory)
     # or "streaming" (bounded sketches, long-horizon runs).  The payload
     # shapes differ, so non-default modes fingerprint separately.
-    metrics: str = "exact"
+    metrics: str = axis("exact", omit_default=True, forward="metrics")
     # Engine backend executing the simulation; None runs the process
     # default (REPRO_ENGINE, else vectorized), an explicit name pins
-    # that backend.  Backends are byte-identical by contract, so the
-    # axis is exempt from the fingerprint: an engine choice never
-    # invalidates (or forks) the result cache for the same experiment.
-    engine: str | None = None
-    # Prefix-sharing block-map subsystem ("off"/"on").  Unlike the
+    # that backend.  Backends are byte-identical by contract, so an
+    # engine choice never invalidates (or forks) the result cache; the
+    # payload still carries it so worker processes run the pinned backend.
+    engine: str | None = axis(None, omit_default=True, hashed=False, forward="engine")
+    # Prefix-sharing block-map subsystem (KV_SHARING_MODES).  Unlike the
     # engine axis, sharing *changes results* (prefill work shrinks on
-    # cache hits), so "on" is part of the fingerprint; "off" is omitted
-    # from the payload so pre-sharing fingerprints stay valid.
-    kv_sharing: str = "off"
+    # cache hits), so "on" is part of the fingerprint.
+    kv_sharing: str = axis("off", omit_default=True, forward="kv_sharing")
     # Federation (multi-cluster fleet) name from repro.federation, or
     # None for a plain single-cluster run.  Sharding changes what is
     # simulated (N clusters, cross-shard routing), so a named federation
-    # is part of the fingerprint; None is omitted from the payload so
-    # pre-federation fingerprints stay valid.  Like cluster/scenario
-    # names, the value is resolved against its registry at execution
-    # (and CLI) time, not here — keeping the spec import-light.
-    federation: str | None = None
+    # is part of the fingerprint.  Like cluster/scenario names, the value
+    # is resolved against its registry at execution (and CLI) time, not
+    # here — keeping the spec import-light.
+    federation: str | None = axis(None, omit_default=True)
     # SlinferConfig field overrides, e.g. (("enable_cpu", False),), applied
-    # to the system's own config class.  Default-valued entries are
-    # dropped and () is omitted from the payload (pre-axis fingerprints).
-    config: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
+    # to the system's own config class.  Default-valued entries are dropped.
+    config: tuple[tuple[str, Any], ...] = axis((), omit_default=True, forward="config_overrides")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenario_params", _freeze_params(self.scenario_params))
         object.__setattr__(self, "policy_overrides", _freeze_overrides(self.policy_overrides))
         object.__setattr__(self, "config", _freeze_config(self.config))
-        from repro.metrics.collector import METRICS_MODES
-
+        get_scale(self.scale)  # an unknown label would run (and cache) a mislabelled spec
         if self.metrics not in METRICS_MODES:
             raise ValueError(
                 f"unknown metrics mode {self.metrics!r} (known: {', '.join(METRICS_MODES)})"
             )
-        from repro.sim.engine import ENGINES
-
         if self.engine is not None and self.engine not in ENGINES.names():
             raise ValueError(
                 f"unknown engine {self.engine!r} (known: {', '.join(ENGINES.names())})"
             )
-        if self.kv_sharing not in ("off", "on"):
+        if self.kv_sharing not in KV_SHARING_MODES:
             raise ValueError(
-                f"unknown kv_sharing mode {self.kv_sharing!r} (known: off, on)"
+                f"unknown kv_sharing mode {self.kv_sharing!r} "
+                f"(known: {', '.join(KV_SHARING_MODES)})"
             )
 
     # ------------------------------------------------------------------
@@ -179,67 +193,41 @@ class RunSpec:
         return REQUESTS_PER_MODEL_30MIN * self.resolved_duration() / 1800.0
 
     def params_dict(self) -> dict[str, Any]:
-        return {key: list(v) if isinstance(v, tuple) else v for key, v in self.scenario_params}
+        return axis_value(self.scenario_params)
 
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        payload = {
-            "system": self.system,
-            "scenario": self.scenario,
-            "model": self.model,
-            "n_models": self.n_models,
-            "cluster": self.cluster,
-            "seed": self.seed,
-            "scale": self.scale,
-            "duration": self.duration,
-            "scenario_params": self.params_dict(),
-        }
-        # Optional axes serialize only when non-default (see
-        # PAYLOAD_OPTIONAL_AXES) so payloads — and therefore fingerprints
-        # and cached results — from before each axis existed stay valid
-        # for default-valued specs.
-        for axis, default in PAYLOAD_OPTIONAL_AXES.items():
-            value = getattr(self, axis)
-            if value == default:
-                continue
-            payload[axis] = dict(value) if axis in ("policy_overrides", "config") else value
+        payload: dict[str, Any] = {}
+        for entry in dataclass_fields(self):
+            value = getattr(self, entry.name)
+            if not (entry.metadata.get("omit_default") and value == entry.default):
+                payload[entry.name] = axis_value(value)
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "RunSpec":
-        return cls(
-            system=payload["system"],
-            scenario=payload.get("scenario", "azure"),
-            model=payload.get("model", "llama-2-7b"),
-            n_models=payload.get("n_models", 32),
-            cluster=payload.get("cluster", "paper"),
-            topology=payload.get("topology"),
-            seed=payload.get("seed", 1),
-            scale=payload.get("scale", "quick"),
-            duration=payload.get("duration"),
-            scenario_params=payload.get("scenario_params"),
-            policy_overrides=payload.get("policy_overrides") or (),
-            metrics=payload.get("metrics", "exact"),
-            engine=payload.get("engine"),
-            kv_sharing=payload.get("kv_sharing", "off"),
-            federation=payload.get("federation"),
-            config=payload.get("config") or (),
-        )
+        known = [entry.name for entry in dataclass_fields(cls)]
+        unknown = sorted(key for key in payload if key not in known)
+        if unknown:
+            raise ValueError(
+                f"unknown RunSpec key(s) {', '.join(map(repr, unknown))} "
+                f"(known: {', '.join(known)})"
+            )
+        return cls(**payload)
 
     def fingerprint(self) -> str:
         """Stable content hash of the spec (the cache key).
 
-        The FINGERPRINT_EXEMPT_AXES (the engine axis) are excluded:
+        Fields marked ``hashed=False`` (the engine axis) are left out:
         backends are byte-identical, so a cached result computed under
-        either backend answers a spec pinned to the other (``to_dict``
-        keeps the key so worker processes still run the requested
-        backend).
+        either backend answers a spec pinned to the other.
         """
         payload = self.to_dict()
-        for axis in sorted(FINGERPRINT_EXEMPT_AXES):
-            payload.pop(axis, None)
+        for entry in dataclass_fields(self):
+            if not entry.metadata.get("hashed", True):
+                payload.pop(entry.name, None)
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -321,25 +309,32 @@ def expand_policy_grid(
     return combos
 
 
+#: expand_grid's swept axes, outermost first: keyword -> RunSpec field.
+_GRID_AXES: tuple[tuple[str, str], ...] = (
+    ("scenarios", "scenario"),
+    ("models", "model"),
+    ("n_models", "n_models"),
+    ("clusters", "cluster"),
+    ("topologies", "topology"),
+    ("federations", "federation"),
+    ("seeds", "seed"),
+)
+
+
 def expand_grid(
     systems: Iterable[str],
     *,
-    scenarios: Iterable[str] = ("azure",),
-    models: Iterable[str] = ("llama-2-7b",),
-    n_models: Iterable[int] = (32,),
-    clusters: Iterable[str] = ("paper",),
-    topologies: Iterable[str | None] = (None,),
-    seeds: Iterable[int] = (1,),
-    scale: str = "quick",
-    duration: float | None = None,
-    scenario_params: dict[str, Any] | None = None,
     policies: dict[str, Sequence[str]] | None = None,
-    metrics: str = "exact",
-    engine: str | None = None,
-    kv_sharing: str = "off",
-    federations: Iterable[str | None] = (None,),
+    **axes: Any,
 ) -> list[RunSpec]:
     """The cross-product of the given axes, in deterministic order.
+
+    Each swept keyword (``scenarios``, ``models``, ``n_models``,
+    ``clusters``, ``topologies``, ``federations``, ``seeds``) takes an
+    iterable of values for its field; any other keyword is a
+    :class:`RunSpec` field value shared by the whole grid (``scale=``,
+    ``duration=``, ``metrics=``...).  An axis the caller leaves out keeps
+    the field's default.
 
     Workload axes vary outermost and systems innermost, so consecutive
     specs compare systems on the same workload.  ``policies`` adds a
@@ -350,37 +345,20 @@ def expand_grid(
     and ``federations`` multiplies each cluster into the named fleets
     (``None`` = plain unsharded run).
     """
-    policy_combos = expand_policy_grid(policies)
-    specs = []
-    for scenario in scenarios:
-        for model in models:
-            for count in n_models:
-                for cluster in clusters:
-                    for topology in topologies:
-                        for federation in federations:
-                            for seed in seeds:
-                                for system in systems:
-                                    for overrides in policy_combos:
-                                        specs.append(
-                                            RunSpec(
-                                                system=system,
-                                                scenario=scenario,
-                                                model=model,
-                                                n_models=count,
-                                                cluster=cluster,
-                                                topology=topology,
-                                                seed=seed,
-                                                scale=scale,
-                                                duration=duration,
-                                                scenario_params=scenario_params,
-                                                policy_overrides=overrides,
-                                                metrics=metrics,
-                                                engine=engine,
-                                                kv_sharing=kv_sharing,
-                                                federation=federation,
-                                            )
-                                        )
-    return specs
+    names: list[str] = []
+    values: list[list[Any]] = []
+    for keyword, name in _GRID_AXES:
+        if keyword in axes:
+            names.append(name)
+            values.append(list(axes.pop(keyword)))
+    names.append("system")
+    values.append(list(systems))
+    if policies:
+        names.append("policy_overrides")
+        values.append(expand_policy_grid(policies))
+    return [
+        RunSpec(**axes, **dict(zip(names, combo))) for combo in itertools.product(*values)
+    ]
 
 
 @dataclass

@@ -51,18 +51,3 @@ def sneak_event(sim: object, item: object) -> None:
 
 def untyped(value):  # typed-defs
     return value
-
-
-PAYLOAD_OPTIONAL_AXES: "dict[str, object]" = {}
-FINGERPRINT_EXEMPT_AXES: "frozenset[str]" = frozenset()
-
-
-class RunSpec:
-    system: str = "slinfer"
-    color: str = "red"  # fingerprint-axis: never serialized
-
-    def to_dict(self) -> "dict[str, object]":
-        return {"system": self.system}
-
-    def fingerprint(self) -> str:
-        return str(sorted(self.to_dict().items()))

@@ -105,7 +105,6 @@ class TestRegistry:
     def test_all_shipped_rules_registered(self):
         assert all_rule_ids() == [
             "engine-seam",
-            "fingerprint-axis",
             "float-accum",
             "handler-purity",
             "no-ambient-rng",

@@ -162,69 +162,6 @@ class TestUnorderedIteration:
 
 
 # ----------------------------------------------------------------------
-# fingerprint-axis
-# ----------------------------------------------------------------------
-class TestFingerprintAxis:
-    BASE = """
-        PAYLOAD_OPTIONAL_AXES = {{"topology": None}}
-        FINGERPRINT_EXEMPT_AXES = frozenset({exempt})
-
-        class RunSpec:
-            system: str = "x"
-            topology: str = None
-            {extra_field}
-
-            def to_dict(self) -> dict:
-                payload = {{"system": self.system}}
-                for axis, default in PAYLOAD_OPTIONAL_AXES.items():
-                    if getattr(self, axis) != default:
-                        payload[axis] = getattr(self, axis)
-                return payload
-
-            def fingerprint(self) -> str:
-                payload = self.to_dict()
-                for axis in sorted(FINGERPRINT_EXEMPT_AXES):
-                    payload.pop(axis, None)
-                return str(payload)
-        """
-
-    def _spec_module(self, extra_field: str = "", exempt: str = "()") -> str:
-        return textwrap.dedent(self.BASE.format(extra_field=extra_field, exempt=exempt))
-
-    def test_clean_spec_module_passes(self):
-        assert lint_source(self._spec_module(), "fingerprint-axis") == []
-
-    def test_unregistered_axis_flagged(self):
-        found = lint_source(
-            self._spec_module(extra_field='color: str = "red"'), "fingerprint-axis"
-        )
-        assert len(found) == 1 and "'color'" in found[0].message
-
-    def test_stale_registry_entry_flagged(self):
-        src = self._spec_module().replace(
-            '{"topology": None}', '{"topology": None, "gone": 0}'
-        )
-        found = lint_source(src, "fingerprint-axis")
-        assert len(found) == 1 and "'gone'" in found[0].message
-
-    def test_missing_registries_flagged(self):
-        src = "class RunSpec:\n    system: str = 'x'\n"
-        found = lint_source(src, "fingerprint-axis")
-        assert len(found) == 1 and "PAYLOAD_OPTIONAL_AXES" in found[0].message
-
-    def test_real_spec_module_is_clean(self):
-        from pathlib import Path
-
-        import repro.runner.spec as spec_module
-
-        source = Path(spec_module.__file__).read_text()
-        assert lint_source(source, "fingerprint-axis", module="repro.runner.spec") == []
-
-    def test_non_spec_files_ignored(self):
-        assert lint_source("x = 1\n", "fingerprint-axis") == []
-
-
-# ----------------------------------------------------------------------
 # handler-purity
 # ----------------------------------------------------------------------
 class TestHandlerPurity:

@@ -46,8 +46,16 @@ def test_label_names_sharing_mode():
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="kv_sharing"):
+    with pytest.raises(ValueError, match=r"kv_sharing.*\(known: off, on\)"):
         _spec(kv_sharing="sometimes")
+
+
+def test_serving_system_names_the_known_modes():
+    from repro.core.system import ServingSystem
+    from repro.registry import build_cluster
+
+    with pytest.raises(ValueError, match=r"'sometimes' \(known: off, on\)"):
+        ServingSystem(build_cluster("cpu2-gpu2"), "slinfer", kv_sharing="sometimes")
 
 
 def test_expand_grid_threads_kv_sharing():

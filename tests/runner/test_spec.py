@@ -223,3 +223,25 @@ def test_summary_line_names_the_parametrised_system():
     lines = [result.summary_line() for result in results]
     assert lines[0] != lines[1]
     assert "neo+8:" in lines[0] and "neo+16:" in lines[1]
+
+
+def test_config_field_the_system_lacks_is_a_value_error():
+    # watermark is a SlinferConfig field; sllm runs on the base SystemConfig.
+    from repro.runner import execute_spec
+
+    spec = RunSpec(system="sllm", n_models=2, duration=30.0, config={"watermark": 0.3})
+    with pytest.raises(ValueError, match=r"'sllm'.*'watermark'.*SystemConfig"):
+        execute_spec(spec)
+
+
+# ----------------------------------------------------------------------
+# Validation at construction
+# ----------------------------------------------------------------------
+def test_unknown_scale_is_an_error_even_with_an_explicit_duration():
+    with pytest.raises(KeyError, match="unknown scale 'smok'"):
+        RunSpec(system="sllm", scale="smok", duration=60.0)
+
+
+def test_from_dict_rejects_an_unknown_key():
+    with pytest.raises(ValueError, match="unknown RunSpec key.*'colour'"):
+        RunSpec.from_dict({"system": "sllm", "colour": "red"})
