@@ -8,11 +8,13 @@ un-audited runs:
 * **KV block conservation** — ``KvShareStore.check_invariants`` on
   every sharing-enabled instance (free + allocated + private ==
   capacity, refcount bookkeeping).
-* **Request conservation** — arrivals == completed + dropped +
-  in-flight, with in-flight cross-checked against where requests
-  actually live (instance batches, prefill queues, the admission
-  queue, or mid-migration): a request the system lost track of fails
-  the audit even though every counter looks plausible.
+* **Request conservation** — the outcome ledger's arrivals ==
+  completed + dropped + in-flight, with in-flight cross-checked against
+  where requests actually live (instance batches, prefill queues, the
+  admission queue, or mid-migration): a request the system lost track
+  of fails the audit even though every counter looks plausible.  In
+  exact mode the ledger's counters must also equal a recount of the
+  requests it retains — an oracle independent of the live counting.
 * **Batch profiles** — every active instance's cached
   :class:`~repro.engine.instance.BatchProfile` answers (KV blocks,
   steps to the earliest completion, the watermark's quiet bound) equal
@@ -31,6 +33,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.engine.instance import Instance, InstanceState
 from repro.engine.kvcache import BLOCK_TOKENS
 from repro.engine.request import Request, RequestState
+from repro.metrics.ledger import COUNTS, ExactLedger, Ledger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import ServingSystem
@@ -49,24 +52,25 @@ def audit_enabled() -> bool:
     return os.environ.get(AUDIT_ENV, "") not in ("", "0")
 
 
-def _live_requests(system: "ServingSystem") -> list[Request]:
-    """The collector's view of requests still in flight."""
-    metrics = system.metrics
-    if metrics.streaming:
-        return list(metrics._pending.values())
-    return [r for r in metrics.requests if r.state not in _FINISHED]
-
-
-def _outcome_counts(system: "ServingSystem") -> tuple[int, int, int]:
-    """(arrivals, completed, dropped) from the metrics collector."""
-    metrics = system.metrics
-    if metrics.streaming:
-        aggregate = metrics._aggregate
-        assert aggregate is not None
-        return aggregate.arrivals, aggregate.completed, aggregate.dropped
-    completed = sum(1 for r in metrics.requests if r.state is RequestState.COMPLETED)
-    dropped = sum(1 for r in metrics.requests if r.state is RequestState.DROPPED)
-    return len(metrics.requests), completed, dropped
+def _audit_ledger(ledger: Ledger) -> None:
+    """Exact mode: the ledger's live counters must equal a recount of the
+    requests it retains.  (Streaming mode releases finished requests.)"""
+    if not isinstance(ledger, ExactLedger):
+        return
+    requests = ledger.requests
+    states = [request.state for request in requests]
+    scanned = (
+        len(states),
+        states.count(RequestState.COMPLETED),
+        states.count(RequestState.DROPPED),
+        sum(request.slo_met for request in requests),
+    )
+    counted = tuple(getattr(ledger, name) for name in COUNTS)
+    if counted != scanned:
+        raise AuditError(
+            f"outcome ledger drifted: counters {dict(zip(COUNTS, counted))} "
+            f"but its requests recount to {dict(zip(COUNTS, scanned))}"
+        )
 
 
 def _resident_requests(system: "ServingSystem") -> dict[int, int]:
@@ -136,8 +140,10 @@ def audit_system(system: "ServingSystem") -> None:
 
     resident = _resident_requests(system)
     queued = {request.req_id for request in system.queued_requests()}
-    live = _live_requests(system)
-    arrivals, completed, dropped = _outcome_counts(system)
+    ledger = system.metrics.outcomes
+    _audit_ledger(ledger)
+    live = list(ledger.pending.values())
+    arrivals, completed, dropped = ledger.arrivals, ledger.completed, ledger.dropped
     if arrivals != completed + dropped + len(live):
         raise AuditError(
             f"request conservation violated: {arrivals} arrivals != "

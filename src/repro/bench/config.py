@@ -35,7 +35,8 @@ class BenchConfig:
     warmup: int = DEFAULT_WARMUP
 
     def __post_init__(self) -> None:
-        get_scale(self.scale)  # unknown scales fail fast, not mid-suite
+        # Unknown scales fail fast, not mid-suite; known ones are canonical.
+        object.__setattr__(self, "scale", get_scale(self.scale).label)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.warmup < 0:

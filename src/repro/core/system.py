@@ -114,11 +114,8 @@ class ServingSystem:
         cluster.topology.bind(self.sim)
         self.bus = EventBus()
         self.perf = PerfDatabase(jitter_sigma=self.config.jitter_sigma, seed=self.config.seed)
-        # Metrics accumulation mode: "exact" retains every request and
-        # sample; "streaming" folds into bounded sketches (long-horizon
-        # runs).  Must be set before observers attach — the metrics
-        # observer wires outcome-folding subscriptions only in
-        # streaming mode.
+        # The metrics mode ("exact" / "streaming") picks the collector's
+        # accumulator types; built before the observers attach to it.
         self.metrics = MetricsCollector(mode=metrics)
         self.observers: list[Observer] = (
             list(observers) if observers is not None else default_observers()

@@ -51,7 +51,6 @@ from repro.federation.partition import shard_stream
 from repro.federation.router import GlobalRouter, make_router
 from repro.federation.spec import Federation, ShardWorkerError, resolve_federation
 from repro.metrics.report import RunReport, merge_run_reports
-from repro.policies.events import RequestArrived, RequestCompleted, RequestDropped
 from repro.runner.executor import build_system, default_workers
 from repro.runner.spec import (
     RunResult,
@@ -90,33 +89,15 @@ class ShardRunner:
     """One shard's serving system, driven by controller commands.
 
     Wraps the stepped run primitives (``begin_run`` / ``advance`` /
-    ``finish_run``) and counts arrivals/completions/drops off the event
-    bus so the controller can read in-flight load at epoch barriers
-    without touching simulator internals.  Only terminal request events
-    are subscribed: a plain ``IterationFinished`` handler (one that is
-    not a ``DecodeChainHandler``) would turn off the vectorized engine's
-    decode chaining.
+    ``finish_run``); ``advance`` reports the shard's arrival, completion
+    and drop counts from its metrics ledger, so the controller reads
+    in-flight load at epoch barriers without touching simulator
+    internals.
     """
 
     def __init__(self, spec: RunSpec, workload) -> None:
         self.system = build_system(spec)
-        self.arrived = 0
-        self.completed = 0
-        self.dropped = 0
-        bus = self.system.bus
-        bus.subscribe(RequestArrived, self._count_arrival)
-        bus.subscribe(RequestCompleted, self._count_completion)
-        bus.subscribe(RequestDropped, self._count_drop)
         self.system.begin_run(workload)
-
-    def _count_arrival(self, event) -> None:
-        self.arrived += 1
-
-    def _count_completion(self, event) -> None:
-        self.completed += 1
-
-    def _count_drop(self, event) -> None:
-        self.dropped += 1
 
     @property
     def horizon(self) -> Optional[float]:
@@ -128,7 +109,8 @@ class ShardRunner:
 
     def advance(self, until: Optional[float]) -> tuple[int, int, int]:
         self.system.advance(until)
-        return (self.arrived, self.completed, self.dropped)
+        outcomes = self.system.metrics.outcomes
+        return (outcomes.arrivals, outcomes.completed, outcomes.dropped)
 
     def finish(self) -> dict[str, Any]:
         report = self.system.finish_run().to_dict(include_volatile=True)

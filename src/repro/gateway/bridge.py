@@ -28,7 +28,7 @@ from typing import Any, Optional
 from repro.engine.instance import Instance, InstanceState
 from repro.engine.request import Request, RequestState
 from repro.metrics.report import RunReport
-from repro.policies.events import RequestArrived, RequestCompleted, RequestDropped
+from repro.policies.events import RequestArrived
 from repro.workloads.spec import Deployment, RequestSpec
 from repro.workloads.stream import QueueStream
 
@@ -105,14 +105,10 @@ class SimBridge:
         # Submission index -> simulator Request: streamed arrivals are
         # processed strictly in push order and each publishes exactly
         # one RequestArrived, so appending here aligns with the stream's
-        # indices.
+        # indices.  (The metrics ledger counts outcomes, but streaming
+        # mode releases the request objects a verdict needs.)
         self._requests: list[Request] = []
-        self._completed = 0
-        self._dropped = 0
-        bus = system.bus
-        bus.subscribe(RequestArrived, self._on_arrived)
-        bus.subscribe(RequestCompleted, self._on_completed)
-        bus.subscribe(RequestDropped, self._on_dropped)
+        system.bus.subscribe(RequestArrived, lambda e: self._requests.append(e.request))
 
     # ------------------------------------------------------------------
     # Construction from a run spec (the CLI / sweep-axes path)
@@ -145,18 +141,6 @@ class SimBridge:
             pace_ratio=pace_ratio,
             submit_timeout=submit_timeout,
         )
-
-    # ------------------------------------------------------------------
-    # Event-bus bookkeeping (simulation thread)
-    # ------------------------------------------------------------------
-    def _on_arrived(self, event: RequestArrived) -> None:
-        self._requests.append(event.request)
-
-    def _on_completed(self, event: RequestCompleted) -> None:
-        self._completed += 1
-
-    def _on_dropped(self, event: RequestDropped) -> None:
-        self._dropped += 1
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -199,10 +183,11 @@ class SimBridge:
 
     @property
     def outcome_counts(self) -> dict[str, int]:
+        outcomes = self.system.metrics.outcomes
         return {
             "submitted": self.stream.submitted,
-            "completed": self._completed,
-            "dropped": self._dropped,
+            "completed": outcomes.completed,
+            "dropped": outcomes.dropped,
         }
 
     # ------------------------------------------------------------------

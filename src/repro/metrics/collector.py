@@ -6,22 +6,13 @@ decode tokens (for per-node decode speed), periodic memory-utilization
 samples, batch sizes at each decode iteration, and wall-clock scheduling
 overheads (Fig. 33 measures the real cost of our scheduler code).
 
-Two accumulation modes:
-
-* ``exact`` (default) — per-request objects and per-sample lists are
-  retained, so reports serialize losslessly and byte-identically to the
-  golden fixtures.  Memory is O(requests).
-* ``streaming`` — request outcomes fold into
-  :class:`~repro.metrics.streaming.RequestAggregate` counters the moment
-  a request finishes, and memory/KV samples feed bounded
-  :class:`~repro.metrics.streaming.QuantileSketch` instances.  Memory is
-  O(in-flight requests + sketch buckets), independent of trace horizon —
-  the regime the long-horizon scenarios need.
-
-Either way, scheduling overheads accumulate as running count/sum/min/max
-(:class:`~repro.metrics.streaming.StreamingStat`): the report only ever
-derived count/total/mean from them, so keeping the raw per-call list was
-pure O(iterations) overhead.
+The metrics mode is read once, here, to pick the accumulator types
+(:data:`~repro.metrics.ledger.ACCUMULATORS`): the request-outcome
+ledger, whose counts are live O(1) reads during the run, and one sample
+store per sampled distribution.  ``exact`` (the default) retains every
+request and sample (lossless payloads, the golden fixtures);
+``streaming`` releases finished requests and sketches the samples, so
+memory is O(in-flight requests + sketch buckets).
 
 The operation counters (scale ops, migrations, evictions, preemptions,
 cold starts, prefix sharing) are not declared here: the collector
@@ -37,11 +28,9 @@ from dataclasses import dataclass, field, fields
 
 from repro.engine.request import Request
 from repro.hardware.specs import HardwareKind
+from repro.metrics.ledger import ACCUMULATORS, METRICS_MODES, Ledger, SampleStore
 from repro.metrics.report import OverheadStat, RunCounters, RunReport
-from repro.metrics.streaming import QuantileSketch, RequestAggregate, StreamingStat
-
-#: recognised collector modes
-METRICS_MODES = ("exact", "streaming")
+from repro.metrics.streaming import StreamingStat
 
 
 @dataclass
@@ -98,17 +87,12 @@ class MetricsCollector(RunCounters):
     """
 
     mode: str = "exact"
-    requests: list[Request] = field(default_factory=list)
     _nodes: dict[str, _NodeActivity] = field(default_factory=dict)
     decode_tokens: dict[HardwareKind, int] = field(
         default_factory=lambda: defaultdict(int)
     )
     batch_histogram: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     gpu_batch_histogram: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    memory_samples: dict[HardwareKind, list[float]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-    kv_utilization_samples: list[float] = field(default_factory=list)
     overheads: dict[str, StreamingStat] = field(
         default_factory=lambda: defaultdict(StreamingStat)
     )
@@ -117,49 +101,30 @@ class MetricsCollector(RunCounters):
     #: for topologies with shared (contendable) links, in both metrics
     #: modes — the payload is bounded by the link count.
     link_stats: dict[str, dict] = field(default_factory=dict)
-    # Streaming-mode state (unused in exact mode).
-    _pending: dict[int, Request] = field(default_factory=dict, repr=False)
-    _aggregate: RequestAggregate | None = field(default=None, repr=False)
-    _memory_sketches: dict[HardwareKind, QuantileSketch] | None = field(
-        default=None, repr=False
-    )
-    _kv_sketch: QuantileSketch | None = field(default=None, repr=False)
+    # The mode's accumulators, built by __post_init__.
+    outcomes: Ledger = field(init=False)
+    memory_samples: dict[HardwareKind, SampleStore] = field(init=False)
+    kv_utilization_samples: SampleStore = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in METRICS_MODES:
+        if self.mode not in ACCUMULATORS:
             raise ValueError(
                 f"unknown metrics mode {self.mode!r} (known: {', '.join(METRICS_MODES)})"
             )
-        if self.streaming:
-            self._aggregate = RequestAggregate()
-            self._memory_sketches = defaultdict(QuantileSketch)
-            self._kv_sketch = QuantileSketch()
-
-    @property
-    def streaming(self) -> bool:
-        return self.mode == "streaming"
+        ledger, samples = ACCUMULATORS[self.mode]
+        self.outcomes = ledger()
+        self.memory_samples = defaultdict(samples)
+        self.kv_utilization_samples = samples()
 
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
     def register_request(self, request: Request) -> None:
-        if not self.streaming:
-            self.requests.append(request)
-            return
-        self._aggregate.arrivals += 1
-        self._pending[request.req_id] = request
+        self.outcomes.register(request)
 
     def request_finished(self, request: Request) -> None:
-        """Streaming mode: fold a finished request's outcome and release it.
-
-        A no-op in exact mode (the retained object carries its outcome)
-        and for requests already folded — the fold happens exactly once.
-        """
-        if not self.streaming:
-            return
-        if self._pending.pop(request.req_id, None) is None:
-            return
-        self._aggregate.fold(request)
+        """Fold a finished request's outcome (once: a repeat is a no-op)."""
+        self.outcomes.finish(request)
 
     # ------------------------------------------------------------------
     # Node activity
@@ -195,16 +160,10 @@ class MetricsCollector(RunCounters):
             self.gpu_batch_histogram[batch_size] += count
 
     def sample_memory_utilization(self, kind: HardwareKind, utilization: float) -> None:
-        if self.streaming:
-            self._memory_sketches[kind].add(utilization)
-        else:
-            self.memory_samples[kind].append(utilization)
+        self.memory_samples[kind].add(utilization)
 
     def sample_kv_utilization(self, utilization: float) -> None:
-        if self.streaming:
-            self._kv_sketch.add(utilization)
-        else:
-            self.kv_utilization_samples.append(utilization)
+        self.kv_utilization_samples.add(utilization)
 
     def add_overhead(self, name: str, seconds: float) -> None:
         self.overheads[name].add(seconds)
@@ -232,42 +191,19 @@ class MetricsCollector(RunCounters):
             name: OverheadStat(count=stat.count, total_seconds=stat.total)
             for name, stat in self.overheads.items()
         }
-        if self.streaming:
-            # Requests still in flight at the horizon carry their final
-            # observed state (queued/decoding => not completed, TTFT if a
-            # first token appeared) — the same set exact mode reports.
-            aggregate = RequestAggregate(
-                arrivals=self._aggregate.arrivals,
-                completed=self._aggregate.completed,
-                dropped=self._aggregate.dropped,
-                slo_met=self._aggregate.slo_met,
-                ttft=QuantileSketch.from_dict(self._aggregate.ttft.to_dict()),
-            )
-            for request in self._pending.values():
-                aggregate.fold(request)
         return RunReport(
             system=system,
             duration=duration,
-            requests=list(self.requests),
+            outcomes=self.outcomes.snapshot(),
             node_seconds_cpu=node_seconds.get(HardwareKind.CPU, 0.0),
             node_seconds_gpu=node_seconds.get(HardwareKind.GPU, 0.0),
             decode_tokens_cpu=self.decode_tokens[HardwareKind.CPU],
             decode_tokens_gpu=self.decode_tokens[HardwareKind.GPU],
             batch_histogram=dict(self.batch_histogram),
             gpu_batch_histogram=dict(self.gpu_batch_histogram),
-            memory_samples={k: list(v) for k, v in self.memory_samples.items()},
-            kv_utilization_samples=list(self.kv_utilization_samples),
+            memory_samples={k: v.copy() for k, v in self.memory_samples.items()},
+            kv_utilization_samples=self.kv_utilization_samples.copy(),
             overhead_stats=overhead_stats,
             link_utilization={k: dict(v) for k, v in self.link_stats.items()},
-            metrics_mode=self.mode,
-            request_aggregate=aggregate if self.streaming else None,
-            memory_sketches=(
-                {k: QuantileSketch.from_dict(v.to_dict()) for k, v in self._memory_sketches.items()}
-                if self.streaming
-                else {}
-            ),
-            kv_utilization_sketch=(
-                QuantileSketch.from_dict(self._kv_sketch.to_dict()) if self.streaming else None
-            ),
             **{f.name: getattr(self, f.name) for f in fields(RunCounters)},
         )

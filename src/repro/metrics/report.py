@@ -1,16 +1,16 @@
 """Run reports: the figures' raw material.
 
-A ``RunReport`` holds the finalized requests plus aggregate counters and
-derives every metric the paper plots.
+A ``RunReport`` holds a run's outcome ledger, sample stores and
+counters, and derives every metric the paper plots.
 
-Reports come in two metrics modes (see
-:mod:`repro.metrics.collector`): ``exact`` retains every request and
-sample, ``streaming`` carries bounded counters and quantile sketches
-instead.  The derived accessors (counts, rates, ``*_cdf()``) are
-mode-agnostic — a streaming ``ttft_cdf()`` returns a
-:class:`~repro.metrics.streaming.QuantileSketch`, which answers the same
-percentile/mean/fraction_below/curve API as :class:`Cdf`.  Only the raw
-per-request views (``requests`` / ``completed``) are exact-only.
+The accumulators' types are the metrics mode (see
+:mod:`repro.metrics.ledger`), but they answer the same calls, so the
+derived accessors (counts, rates, ``*_cdf()``) and
+:func:`merge_run_reports` never branch on it: a streaming ``ttft_cdf()``
+returns a :class:`~repro.metrics.streaming.QuantileSketch`, which
+answers the same percentile/mean/fraction_below/curve API as
+:class:`Cdf`.  Only the raw per-request views (``requests`` /
+``completed``) are exact-only, and only the payload codec reads the mode.
 
 Every additive per-run scalar is declared once, as a field of
 :class:`RunCounters` (the operation counters the collector accumulates)
@@ -26,10 +26,11 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Union
 
-from repro.engine.request import Request, RequestState
+from repro.engine.request import Request
 from repro.hardware.specs import HardwareKind
 from repro.metrics.cdf import Cdf
-from repro.metrics.streaming import QuantileSketch, RequestAggregate
+from repro.metrics.ledger import ACCUMULATORS, ExactLedger, Ledger, SampleList, SampleStore
+from repro.metrics.streaming import QuantileSketch
 
 #: anything exposing the shared Cdf read API (percentile/mean/curve/...)
 Distribution = Union[Cdf, QuantileSketch]
@@ -92,6 +93,16 @@ def _group(group: str | None) -> tuple[str, ...]:
     return tuple(f.name for f in _SCALARS if f.metadata.get("group") == group)
 
 
+#: per-link utilization sums a shard merge adds up (with their zeros)
+_LINK_SUMS = {"bytes": 0.0, "busy_seconds": 0.0, "transfers": 0}
+
+#: payload keys of each mode's accumulators: (ledger, memory stores, KV store)
+_PAYLOAD_KEYS = {
+    "exact": ("requests", "memory_samples", "kv_utilization_samples"),
+    "streaming": ("request_aggregate", "memory_sketches", "kv_utilization_sketch"),
+}
+
+
 @dataclass(frozen=True)
 class OverheadStat:
     """Wall-clock cost of one instrumented section over a run."""
@@ -117,121 +128,56 @@ class OverheadStat:
         return {name: cls(count=row[0], total_seconds=row[1]) for name, row in rows.items()}
 
 
-# Request fields serialized into report JSON, in row order.
-_REQUEST_FIELDS: tuple[str, ...] = (
-    "req_id",
-    "deployment",
-    "arrival",
-    "input_len",
-    "output_len",
-    "ttft_slo",
-    "tpot_slo",
-    "state",
-    "grace",
-    "tokens_out",
-    "prefill_len",
-    "first_token_at",
-    "finished_at",
-    "dropped_at",
-    "violation_at",
-    "cold_started",
-    "migrations",
-)
-
-
-def _request_to_row(request: Request) -> list[Any]:
-    row = []
-    for name in _REQUEST_FIELDS:
-        value = getattr(request, name)
-        row.append(value.value if name == "state" else value)
-    return row
-
-
-def _request_from_row(row: list[Any]) -> Request:
-    values = dict(zip(_REQUEST_FIELDS, row))
-    request = Request(
-        req_id=values["req_id"],
-        deployment=values["deployment"],
-        arrival=values["arrival"],
-        input_len=values["input_len"],
-        output_len=values["output_len"],
-        ttft_slo=values["ttft_slo"],
-        tpot_slo=values["tpot_slo"],
-    )
-    request.state = RequestState(values["state"])
-    for name in _REQUEST_FIELDS[8:]:
-        setattr(request, name, values[name])
-    return request
-
-
 @dataclass
 class RunReport(RunTotals):
     """All measured outcomes of one serving run."""
 
     system: str
     duration: float
-    requests: list[Request]
+    #: request outcomes: the counts, the TTFTs and (exact mode) every request
+    outcomes: Ledger = field(default_factory=ExactLedger)
     batch_histogram: dict[int, int] = field(default_factory=dict)
     gpu_batch_histogram: dict[int, int] = field(default_factory=dict)
-    memory_samples: dict[HardwareKind, list[float]] = field(default_factory=dict)
-    kv_utilization_samples: list[float] = field(default_factory=list)
+    memory_samples: dict[HardwareKind, SampleStore] = field(default_factory=dict)
+    kv_utilization_samples: SampleStore = field(default_factory=SampleList)
     overhead_stats: dict[str, OverheadStat] = field(default_factory=dict)
     #: per-link interconnect utilization (bytes / busy seconds / peak
     #: concurrency), present in both metrics modes for topologies with
     #: shared links; empty — and omitted from the payload — otherwise.
     link_utilization: dict[str, dict] = field(default_factory=dict)
-    # Streaming-mode payload (None/empty in exact mode).
-    metrics_mode: str = "exact"
-    request_aggregate: RequestAggregate | None = None
-    memory_sketches: dict[HardwareKind, QuantileSketch] = field(default_factory=dict)
-    kv_utilization_sketch: QuantileSketch | None = None
 
     @property
-    def streaming(self) -> bool:
-        """Streaming metrics mode: the request aggregate and the sketches
-        stand in for the per-request ledger and the raw samples (the
-        collector, ``from_dict`` and the merge set all three together)."""
-        return self.metrics_mode == "streaming"
+    def metrics_mode(self) -> str:
+        return self.outcomes.mode
 
     # ------------------------------------------------------------------
     # Request outcomes
     # ------------------------------------------------------------------
     @property
-    def total_requests(self) -> int:
-        if self.streaming:
-            return self.request_aggregate.arrivals
-        return len(self.requests)
+    def requests(self) -> list[Request]:
+        """Every request of the run (exact mode; streaming retains none)."""
+        return self.outcomes.requests
 
     @property
     def completed(self) -> list[Request]:
-        self._require_exact("completed")
-        return [r for r in self.requests if r.state is RequestState.COMPLETED]
+        """Completed requests (exact mode; streaming raises RuntimeError)."""
+        return self.outcomes.completed_requests()
 
-    def _require_exact(self, what: str) -> None:
-        if self.streaming:
-            raise RuntimeError(
-                f"RunReport.{what} needs per-request data, which streaming "
-                f"metrics mode does not retain; use the aggregate accessors "
-                f"(counts, rates, *_cdf()) or rerun with metrics='exact'"
-            )
+    @property
+    def total_requests(self) -> int:
+        return self.outcomes.arrivals
 
     @property
     def completed_count(self) -> int:
-        if self.streaming:
-            return self.request_aggregate.completed
-        return sum(1 for r in self.requests if r.state is RequestState.COMPLETED)
+        return self.outcomes.completed
 
     @property
     def dropped_count(self) -> int:
-        if self.streaming:
-            return self.request_aggregate.dropped
-        return sum(1 for r in self.requests if r.state is RequestState.DROPPED)
+        return self.outcomes.dropped
 
     @property
     def slo_met_count(self) -> int:
-        if self.streaming:
-            return self.request_aggregate.slo_met
-        return sum(1 for r in self.requests if r.slo_met)
+        return self.outcomes.slo_met
 
     @property
     def slo_rate(self) -> float:
@@ -246,10 +192,7 @@ class RunReport(RunTotals):
 
     def ttft_cdf(self) -> Distribution:
         """TTFT of requests that produced a first token (Fig. 22 left)."""
-        if self.streaming:
-            return self.request_aggregate.ttft
-        values = [r.ttft for r in self.requests if r.ttft is not None]
-        return Cdf.from_values(values)
+        return self.outcomes.ttft_cdf()
 
     # ------------------------------------------------------------------
     # Resource usage
@@ -279,14 +222,11 @@ class RunReport(RunTotals):
     # Efficiency (Fig. 25)
     # ------------------------------------------------------------------
     def memory_utilization_cdf(self, kind: HardwareKind = HardwareKind.GPU) -> Distribution:
-        if self.streaming:
-            return self.memory_sketches.get(kind, QuantileSketch())
-        return Cdf.from_values(self.memory_samples.get(kind, []))
+        store = self.memory_samples.get(kind)
+        return Cdf.from_values(()) if store is None else store.cdf()
 
     def kv_utilization_cdf(self) -> Distribution:
-        if self.streaming:
-            return self.kv_utilization_sketch
-        return Cdf.from_values(self.kv_utilization_samples)
+        return self.kv_utilization_samples.cdf()
 
     @property
     def mean_kv_utilization(self) -> float:
@@ -397,16 +337,11 @@ class RunReport(RunTotals):
         payload: dict = {
             "system": self.system,
             "duration": self.duration,
-            "requests": [_request_to_row(r) for r in self.requests],
+            "requests": [],
             "batch_histogram": sorted(self.batch_histogram.items()),
             "gpu_batch_histogram": sorted(self.gpu_batch_histogram.items()),
-            "memory_samples": {
-                kind.value: list(samples)
-                for kind, samples in sorted(
-                    self.memory_samples.items(), key=lambda kv: kv[0].value
-                )
-            },
-            "kv_utilization_samples": list(self.kv_utilization_samples),
+            "memory_samples": {},
+            "kv_utilization_samples": [],
         }
         payload.update((name, getattr(self, name)) for name in _group(None))
         # Only topologies with shared links record link utilization, and
@@ -420,18 +355,18 @@ class RunReport(RunTotals):
         kv_sharing = {name: getattr(self, name) for name in _group(KV_SHARING)}
         if any(kv_sharing.values()):
             payload[KV_SHARING] = kv_sharing
-        # Streaming keys appear only in streaming mode, so exact payloads
-        # (and their cache fingerprints / golden fixtures) are unchanged.
-        if self.streaming:
-            payload["metrics_mode"] = self.metrics_mode
-            payload["request_aggregate"] = self.request_aggregate.to_dict()
-            payload["memory_sketches"] = {
-                kind.value: sketch.to_dict()
-                for kind, sketch in sorted(
-                    self.memory_sketches.items(), key=lambda kv: kv[0].value
-                )
-            }
-            payload["kv_utilization_sketch"] = self.kv_utilization_sketch.to_dict()
+        # The codec's one mode dispatch.  Exact payloads predate the mode
+        # key; streaming payloads keep the exact keys, empty.
+        mode = self.metrics_mode
+        if mode != "exact":
+            payload["metrics_mode"] = mode
+        ledger_key, memory_key, kv_key = _PAYLOAD_KEYS[mode]
+        payload[ledger_key] = self.outcomes.encode()
+        payload[memory_key] = {
+            kind.value: store.encode()
+            for kind, store in sorted(self.memory_samples.items(), key=lambda kv: kv[0].value)
+        }
+        payload[kv_key] = self.kv_utilization_samples.encode()
         if include_volatile:
             payload.update((name, getattr(self, name)) for name in _group(VOLATILE))
             payload["overhead_stats"] = OverheadStat.encode(self.overhead_stats)
@@ -439,7 +374,9 @@ class RunReport(RunTotals):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
-        streaming = payload.get("metrics_mode", "exact") == "streaming"
+        mode = payload.get("metrics_mode", "exact")
+        ledger, samples = ACCUMULATORS[mode]
+        ledger_key, memory_key, kv_key = _PAYLOAD_KEYS[mode]
         kv_sharing = payload.get(KV_SHARING, {})
         scalars = {}
         for f in _SCALARS:
@@ -452,30 +389,19 @@ class RunReport(RunTotals):
         return cls(
             system=payload["system"],
             duration=payload["duration"],
-            requests=[_request_from_row(row) for row in payload["requests"]],
+            outcomes=ledger.decode(payload[ledger_key]),
             batch_histogram={int(k): v for k, v in payload["batch_histogram"]},
             gpu_batch_histogram={int(k): v for k, v in payload["gpu_batch_histogram"]},
             memory_samples={
-                HardwareKind(kind): list(samples)
-                for kind, samples in payload["memory_samples"].items()
+                HardwareKind(kind): samples.decode(store)
+                for kind, store in payload[memory_key].items()
             },
-            kv_utilization_samples=list(payload["kv_utilization_samples"]),
+            kv_utilization_samples=samples.decode(payload[kv_key]),
             overhead_stats=OverheadStat.decode(payload.get("overhead_stats", {})),
             link_utilization={
                 link_id: dict(stats)
                 for link_id, stats in payload.get("link_utilization", {}).items()
             },
-            metrics_mode=payload.get("metrics_mode", "exact"),
-            request_aggregate=(
-                RequestAggregate.from_dict(payload["request_aggregate"]) if streaming else None
-            ),
-            memory_sketches={
-                HardwareKind(kind): QuantileSketch.from_dict(sketch)
-                for kind, sketch in payload.get("memory_sketches", {}).items()
-            },
-            kv_utilization_sketch=(
-                QuantileSketch.from_dict(payload["kv_utilization_sketch"]) if streaming else None
-            ),
             **scalars,
         )
 
@@ -501,51 +427,30 @@ def merge_run_reports(reports: Iterable["RunReport"]) -> "RunReport":
     if len(modes) > 1:
         raise ValueError(f"cannot merge reports with mixed metrics modes: {sorted(modes)}")
     first = reports[0]
-
-    merged_aggregate = None
-    merged_memory: dict[HardwareKind, QuantileSketch] = {}
-    merged_kv = None
-    if first.streaming:
-        merged_aggregate = RequestAggregate()
-        merged_kv = QuantileSketch()
-        for report in reports:
-            merged_aggregate.merge(report.request_aggregate)
-            merged_kv.merge(report.kv_utilization_sketch)
-            for kind, sketch in report.memory_sketches.items():
-                merged_memory.setdefault(kind, QuantileSketch()).merge(sketch)
-
+    outcomes = type(first.outcomes)()
+    # Either mode's store type; each merges only stores of its own type.
+    kv_samples: Any = type(first.kv_utilization_samples)()
+    memory_samples: dict[HardwareKind, Any] = {}
     batch_histogram: dict[int, int] = {}
     gpu_batch_histogram: dict[int, int] = {}
-    memory_samples: dict[HardwareKind, list[float]] = {}
-    kv_samples: list[float] = []
     overhead_stats: dict[str, OverheadStat] = {}
     link_utilization: dict[str, dict] = {}
     for report in reports:
         for link_id, stats in report.link_utilization.items():
             merged = link_utilization.setdefault(
-                link_id,
-                {
-                    "kind": stats.get("kind", ""),
-                    "bytes": 0.0,
-                    "busy_seconds": 0.0,
-                    "transfers": 0,
-                    "max_concurrent": 0,
-                },
+                link_id, {"kind": stats.get("kind", ""), **_LINK_SUMS, "max_concurrent": 0}
             )
-            merged["bytes"] += stats.get("bytes", 0.0)
-            merged["busy_seconds"] += stats.get("busy_seconds", 0.0)
-            merged["transfers"] += stats.get("transfers", 0)
-            merged["max_concurrent"] = max(
-                merged["max_concurrent"], stats.get("max_concurrent", 0)
-            )
-    for report in reports:
+            for key, zero in _LINK_SUMS.items():
+                merged[key] += stats.get(key, zero)
+            merged["max_concurrent"] = max(merged["max_concurrent"], stats.get("max_concurrent", 0))
+        outcomes.merge(report.outcomes)
+        kv_samples.merge(report.kv_utilization_samples)
+        for kind, store in report.memory_samples.items():
+            memory_samples.setdefault(kind, type(store)()).merge(store)
         for batch, count in report.batch_histogram.items():
             batch_histogram[batch] = batch_histogram.get(batch, 0) + count
         for batch, count in report.gpu_batch_histogram.items():
             gpu_batch_histogram[batch] = gpu_batch_histogram.get(batch, 0) + count
-        for kind, samples in report.memory_samples.items():
-            memory_samples.setdefault(kind, []).extend(samples)
-        kv_samples.extend(report.kv_utilization_samples)
         for name, stat in report.overhead_stats.items():
             seen = overhead_stats.get(name, OverheadStat(count=0, total_seconds=0.0))
             overhead_stats[name] = OverheadStat(
@@ -556,16 +461,12 @@ def merge_run_reports(reports: Iterable["RunReport"]) -> "RunReport":
     return RunReport(
         system=first.system,
         duration=math.fsum(report.duration for report in reports),
-        requests=[request for report in reports for request in report.requests],
+        outcomes=outcomes,
         batch_histogram=batch_histogram,
         gpu_batch_histogram=gpu_batch_histogram,
         memory_samples=memory_samples,
         kv_utilization_samples=kv_samples,
         overhead_stats=overhead_stats,
         link_utilization=link_utilization,
-        metrics_mode=first.metrics_mode,
-        request_aggregate=merged_aggregate,
-        memory_sketches=merged_memory,
-        kv_utilization_sketch=merged_kv,
         **{name: rule(getattr(r, name) for r in reports) for name, rule in _MERGE_RULES.items()},
     )

@@ -10,14 +10,12 @@ trace horizon.  This module provides the streaming alternative:
   mergeable by index, so sketches from parallel sweep shards combine
   associatively; the bucket table is capped (lowest buckets collapse
   first), so memory stays bounded regardless of sample count.
-* :class:`RequestAggregate` — the request-outcome counters plus the
-  TTFT sketch that replace the retained ``Request`` list in streaming
-  mode.
 
 The sketch exposes the same read API as
 :class:`~repro.metrics.cdf.Cdf` (``percentile`` / ``median`` / ``mean``
 / ``fraction_below`` / ``curve`` / ``empty`` / ``len``), so report
-consumers are mode-agnostic.
+consumers are mode-agnostic.  It is streaming mode's sample store, and
+the TTFT store of its request ledger (:mod:`repro.metrics.ledger`).
 
 Accuracy: a value inserted into the sketch lands in a bucket whose
 midpoint estimate is within ``alpha`` relative error of the true value
@@ -31,7 +29,7 @@ quantiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 #: default relative-accuracy target (0.5 % — comfortably inside the 1 %
@@ -77,7 +75,7 @@ class StreamingStat:
             raise ValueError("mean of an empty StreamingStat")
         return self.total / self.count
 
-    def to_dict(self) -> dict[str, Any]:
+    def encode(self) -> dict[str, Any]:
         return {
             "count": self.count,
             "total": self.total,
@@ -86,7 +84,7 @@ class StreamingStat:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "StreamingStat":
+    def decode(cls, payload: dict[str, Any]) -> "StreamingStat":
         stat = cls(count=payload["count"], total=payload["total"])
         if stat.count:
             stat.minimum = payload["min"]
@@ -167,6 +165,9 @@ class QuantileSketch:
         if len(self._bins) > self.max_bins:
             self._collapse()
 
+    def copy(self) -> "QuantileSketch":
+        return QuantileSketch.decode(self.encode())
+
     def _collapse(self) -> None:
         """Collapse the lowest buckets into one; high quantiles keep their
         accuracy guarantee, only the distribution's low tail coarsens."""
@@ -181,6 +182,10 @@ class QuantileSketch:
     # ------------------------------------------------------------------
     # Cdf-compatible read API
     # ------------------------------------------------------------------
+    def cdf(self) -> "QuantileSketch":
+        """The sample-store read: a sketch is its own distribution."""
+        return self
+
     @property
     def count(self) -> int:
         return self.stat.count
@@ -287,71 +292,19 @@ class QuantileSketch:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
+    def encode(self) -> dict[str, Any]:
         return {
             "alpha": self.alpha,
             "max_bins": self.max_bins,
             "zero_count": self._zero_count,
             "bins": [[index, self._bins[index]] for index in sorted(self._bins)],
-            "stat": self.stat.to_dict(),
+            "stat": self.stat.encode(),
         }
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "QuantileSketch":
+    def decode(cls, payload: dict[str, Any]) -> "QuantileSketch":
         sketch = cls(alpha=payload["alpha"], max_bins=payload["max_bins"])
         sketch._zero_count = payload["zero_count"]
         sketch._bins = {int(index): count for index, count in payload["bins"]}
-        sketch.stat = StreamingStat.from_dict(payload["stat"])
+        sketch.stat = StreamingStat.decode(payload["stat"])
         return sketch
-
-
-@dataclass
-class RequestAggregate:
-    """Request-outcome counters + TTFT sketch (streaming mode's stand-in
-    for the retained ``Request`` list)."""
-
-    arrivals: int = 0
-    completed: int = 0
-    dropped: int = 0
-    slo_met: int = 0
-    ttft: QuantileSketch = field(default_factory=QuantileSketch)
-
-    def fold(self, request) -> None:
-        """Absorb one finished (or horizon-cut) request's outcome."""
-        from repro.engine.request import RequestState
-
-        if request.state is RequestState.COMPLETED:
-            self.completed += 1
-        elif request.state is RequestState.DROPPED:
-            self.dropped += 1
-        if request.slo_met:
-            self.slo_met += 1
-        ttft = request.ttft
-        if ttft is not None:
-            self.ttft.add(ttft)
-
-    def merge(self, other: "RequestAggregate") -> None:
-        self.arrivals += other.arrivals
-        self.completed += other.completed
-        self.dropped += other.dropped
-        self.slo_met += other.slo_met
-        self.ttft.merge(other.ttft)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "arrivals": self.arrivals,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "slo_met": self.slo_met,
-            "ttft": self.ttft.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "RequestAggregate":
-        return cls(
-            arrivals=payload["arrivals"],
-            completed=payload["completed"],
-            dropped=payload["dropped"],
-            slo_met=payload["slo_met"],
-            ttft=QuantileSketch.from_dict(payload["ttft"]),
-        )

@@ -56,16 +56,11 @@ class MetricsObserver(Observer):
     def attach(self, system: "ServingSystem") -> None:
         metrics = system.metrics
         bus = system.bus
+        # Fold each outcome the moment it is final, so the ledger's counts
+        # are live (requests cut off by the horizon fold at finalize).
         bus.subscribe(RequestArrived, lambda e: metrics.register_request(e.request))
-        if metrics.streaming:
-            # Fold request outcomes the moment they are final, so the
-            # collector releases the objects instead of retaining them
-            # for the whole run (requests cut off by the horizon are
-            # folded at finalize).  Exact mode skips the subscriptions
-            # entirely: its handler chains — and its event-bus cost —
-            # are unchanged.
-            bus.subscribe(RequestCompleted, lambda e: metrics.request_finished(e.request))
-            bus.subscribe(RequestDropped, lambda e: metrics.request_finished(e.request))
+        bus.subscribe(RequestCompleted, lambda e: metrics.request_finished(e.request))
+        bus.subscribe(RequestDropped, lambda e: metrics.request_finished(e.request))
         bus.subscribe(InstanceLoaded, lambda e: self._loaded(system, e))
         bus.subscribe(
             InstanceUnloaded,

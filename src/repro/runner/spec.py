@@ -167,7 +167,8 @@ class RunSpec:
         object.__setattr__(self, "scenario_params", _freeze_params(self.scenario_params))
         object.__setattr__(self, "policy_overrides", _freeze_overrides(self.policy_overrides))
         object.__setattr__(self, "config", _freeze_config(self.config))
-        get_scale(self.scale)  # an unknown label would run (and cache) a mislabelled spec
+        # Canonical: "smok" must not run, nor "Quick" cache apart from "quick".
+        object.__setattr__(self, "scale", get_scale(self.scale).label)
         if self.metrics not in METRICS_MODES:
             raise ValueError(
                 f"unknown metrics mode {self.metrics!r} (known: {', '.join(METRICS_MODES)})"

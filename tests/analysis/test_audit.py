@@ -143,7 +143,7 @@ class TestCorruptionDetected:
         system = _run_system(RunSpec(system="slinfer", **TINY))
         ghost = _fresh_request()
         ghost.state = RequestState.DECODING
-        system.metrics.requests.append(ghost)
+        system.metrics.register_request(ghost)
         with pytest.raises(AuditError, match="leaked"):
             audit_system(system)
 
@@ -151,8 +151,16 @@ class TestCorruptionDetected:
         # Streaming mode folds outcomes into counters; desyncing the
         # arrival counter from outcomes breaks conservation directly.
         system = _run_system(RunSpec(system="slinfer", metrics="streaming", **TINY))
-        system.metrics._aggregate.arrivals += 1
+        system.metrics.outcomes.arrivals += 1
         with pytest.raises(AuditError, match="conservation violated"):
+            audit_system(system)
+
+    def test_exact_ledger_counter_drift_caught_by_recount(self):
+        # An SLO-met counter off by one breaks no conservation law; only
+        # the recount of the retained requests sees it.
+        system = _run_system(RunSpec(system="slinfer", **TINY))
+        system.metrics.outcomes.slo_met += 1
+        with pytest.raises(AuditError, match="outcome ledger drifted"):
             audit_system(system)
 
     def test_kv_refcount_corruption_caught(self):

@@ -30,7 +30,7 @@ def test_float_formatting():
 
 
 def test_render_reports_includes_summary_columns():
-    report = RunReport(system="slinfer", duration=10.0, requests=[])
+    report = RunReport(system="slinfer", duration=10.0)
     text = render_reports([report])
     assert "slinfer" in text
     assert "SLO rate" in text

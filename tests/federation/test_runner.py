@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.engine.request import RequestState
 from repro.federation import ShardWorkerError
 from repro.federation.router import StickySessionRouter, deployment_hash, make_router
 from repro.federation.runner import PipeHost, ShardRunner, run_federation
@@ -98,6 +99,44 @@ def test_dynamic_router_epochs_and_migrations_deterministic():
     assert outcome.epochs == again.epochs
     assert outcome.kv_migrations == again.kv_migrations
     assert _canonical(outcome.report) == _canonical(again.report)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dynamic_routing_identical_in_both_metrics_modes(workers):
+    """The least-loaded router reads each shard's in-flight load off the
+    shard's metrics ledger, which counts outcomes the same way in both
+    modes: every shard receives the same arrivals and reaches the same
+    outcomes whichever mode is accumulating."""
+
+    def shards(metrics: str):
+        outcome = run_federation(_spec("balanced4", metrics=metrics), workers=workers)
+        counts = [
+            (r.total_requests, r.completed_count, r.dropped_count, r.events_processed)
+            for r in outcome.shard_reports
+        ]
+        return outcome.epochs, outcome.kv_migrations, counts
+
+    exact, streaming = shards("exact"), shards("streaming")
+    assert all(arrivals for arrivals, *_ in exact[2])  # every shard got traffic
+    assert exact == streaming
+
+
+def test_shard_advance_reports_its_collector_counts():
+    """Between barriers, ``advance`` returns the shard's (arrivals,
+    completed, dropped), equal to a recount of the requests its exact
+    collector retains."""
+    spec = _spec("sticky4")
+    workload = build_workload(RunSpec.from_dict({**spec.to_dict(), "federation": None}))
+    runner = ShardRunner(spec, workload)
+    for until in (30.0, 90.0, runner.horizon):
+        counts = runner.advance(until)
+        requests = runner.system.metrics.outcomes.requests
+        assert counts == (
+            len(requests),
+            sum(r.state is RequestState.COMPLETED for r in requests),
+            sum(r.state is RequestState.DROPPED for r in requests),
+        )
+    assert counts[0] == workload.total_requests and counts[1] > 0
 
 
 def test_shard_partition_conserves_the_trace():

@@ -47,6 +47,13 @@ GOLDEN_SHARED_AXES = dict(
 
 GOLDEN_SHARED_SYSTEMS = ("slinfer",)
 
+# Streaming-mode fixture: the standard smoke axes with the bounded
+# metrics accumulators (request aggregate + quantile sketches), which
+# pins the streaming payload byte-for-byte.
+GOLDEN_STREAMING_AXES = dict(GOLDEN_AXES, metrics="streaming")
+
+GOLDEN_STREAMING_SYSTEMS = ("slinfer",)
+
 
 def golden_path(system: str) -> Path:
     safe = system.replace("+", "_plus_").replace("-", "_")
@@ -56,6 +63,11 @@ def golden_path(system: str) -> Path:
 def golden_shared_path(system: str) -> Path:
     safe = system.replace("+", "_plus_").replace("-", "_")
     return GOLDEN_DIR / f"{safe}_kv_shared.json"
+
+
+def golden_streaming_path(system: str) -> Path:
+    safe = system.replace("+", "_plus_").replace("-", "_")
+    return GOLDEN_DIR / f"{safe}_streaming.json"
 
 
 def _write(path: Path, result) -> None:
@@ -82,6 +94,12 @@ def main() -> None:
             f"{system:12s} -> {path.name}  "
             f"(hit_rate={result.report.prefix_hit_rate:.3f})"
         )
+    for system in GOLDEN_STREAMING_SYSTEMS:
+        spec = RunSpec(system=system, **GOLDEN_STREAMING_AXES)
+        result = execute_spec(spec)
+        path = golden_streaming_path(system)
+        _write(path, result)
+        print(f"{system:12s} -> {path.name}  ({result.report.summary_line().strip()})")
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ def _distinct_values(offset: int) -> dict[str, int | float]:
 
 
 def _report(offset: int) -> RunReport:
-    return RunReport(system="slinfer", duration=60.0, requests=[], **_distinct_values(offset))
+    return RunReport(system="slinfer", duration=60.0, **_distinct_values(offset))
 
 
 def _through_payload(report: RunReport) -> RunReport:

@@ -125,7 +125,7 @@ def test_sketch_merge_matches_single_pass():
     merged = QuantileSketch()
     for part in parts:
         merged.merge(part)
-    merged_payload, whole_payload = merged.to_dict(), whole.to_dict()
+    merged_payload, whole_payload = merged.encode(), whole.encode()
     # Bucket state is bit-identical; the float sum only differs by
     # addition order (per-chunk partials vs one pass).
     assert merged_payload["bins"] == whole_payload["bins"]
@@ -145,16 +145,16 @@ def test_sketch_merge_is_associative():
     chunks = [rng.uniform(0.01, 10.0, size=2_000) for _ in range(3)]
     a, b, c = (QuantileSketch.from_values(chunk) for chunk in chunks)
 
-    left = QuantileSketch.from_dict(a.to_dict())
+    left = QuantileSketch.decode(a.encode())
     left.merge(b)
     left.merge(c)
 
-    bc = QuantileSketch.from_dict(b.to_dict())
+    bc = QuantileSketch.decode(b.encode())
     bc.merge(c)
-    right = QuantileSketch.from_dict(a.to_dict())
+    right = QuantileSketch.decode(a.encode())
     right.merge(bc)
 
-    left_payload, right_payload = left.to_dict(), right.to_dict()
+    left_payload, right_payload = left.encode(), right.encode()
     # Integer state (bucket counts) is bit-identical under any grouping.
     assert left_payload["bins"] == right_payload["bins"]
     assert left_payload["zero_count"] == right_payload["zero_count"]
@@ -169,10 +169,10 @@ def test_sketch_merge_rejects_mismatched_accuracy():
 
 def test_sketch_serialization_round_trip():
     sketch = QuantileSketch.from_values([0.0, 0.5, 1.0, 7.0, 7.0, 100.0])
-    restored = QuantileSketch.from_dict(sketch.to_dict())
-    assert restored.to_dict() == sketch.to_dict()
+    restored = QuantileSketch.decode(sketch.encode())
+    assert restored.encode() == sketch.encode()
     assert restored.percentile(90.0) == sketch.percentile(90.0)
-    empty = QuantileSketch.from_dict(QuantileSketch().to_dict())
+    empty = QuantileSketch.decode(QuantileSketch().encode())
     assert empty.empty
 
 
@@ -205,7 +205,7 @@ def test_streaming_collector_folds_outcomes_without_retaining_requests():
     collector.request_finished(dropped)
     # Double-fold is a no-op.
     collector.request_finished(dropped)
-    assert collector.requests == []
+    assert collector.outcomes.requests == []
     report = collector.finalize(now=5.0, duration=5.0, system="t")
     assert report.metrics_mode == "streaming"
     assert report.total_requests == 11
@@ -277,5 +277,5 @@ def test_request_aggregate_round_trip_and_merge():
     left.merge(right)
     assert left.arrivals == 5
     assert left.completed == 4
-    restored = RequestAggregate.from_dict(left.to_dict())
-    assert restored.to_dict() == left.to_dict()
+    restored = RequestAggregate.decode(left.encode())
+    assert restored.encode() == left.encode()

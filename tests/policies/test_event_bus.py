@@ -117,4 +117,4 @@ def test_observers_are_detachable_without_changing_trajectory():
     )
     bare.run(tiny_workload(arrivals))
     assert bare.sim.events_processed == observed.sim.events_processed
-    assert bare.metrics.requests == []  # nothing recorded without observers
+    assert bare.metrics.outcomes.requests == []  # nothing recorded without observers

@@ -19,8 +19,11 @@ from tests.golden.generate import (
     GOLDEN_AXES,
     GOLDEN_SHARED_AXES,
     GOLDEN_SHARED_SYSTEMS,
+    GOLDEN_STREAMING_AXES,
+    GOLDEN_STREAMING_SYSTEMS,
     golden_path,
     golden_shared_path,
+    golden_streaming_path,
 )
 
 
@@ -49,3 +52,17 @@ def test_kv_shared_mode_reproduces_golden_bytes(system):
     assert got == fixture.read_text(encoding="utf-8")
     assert "kv_sharing" in result.canonical_report_dict()
 
+
+
+@pytest.mark.parametrize("system", GOLDEN_STREAMING_SYSTEMS)
+def test_streaming_mode_reproduces_golden_bytes(system):
+    """The streaming accumulators (request aggregate, TTFT/memory/KV
+    sketches) serialize byte-for-byte like the pinned payload."""
+    fixture = golden_streaming_path(system)
+    assert fixture.exists(), f"streaming fixture missing for {system!r}; run tests/golden/generate.py"
+    result = execute_spec(RunSpec(system=system, **GOLDEN_STREAMING_AXES))
+    got = json.dumps(
+        result.canonical_report_dict(), sort_keys=True, separators=(",", ":")
+    ) + "\n"
+    assert got == fixture.read_text(encoding="utf-8")
+    assert result.canonical_report_dict()["metrics_mode"] == "streaming"

@@ -245,3 +245,17 @@ def test_unknown_scale_is_an_error_even_with_an_explicit_duration():
 def test_from_dict_rejects_an_unknown_key():
     with pytest.raises(ValueError, match="unknown RunSpec key.*'colour'"):
         RunSpec.from_dict({"system": "sllm", "colour": "red"})
+
+
+def test_scale_label_is_canonical():
+    # Labels resolve case-insensitively; the spec and the bench config
+    # store the canonical one, so one experiment has one cache key.
+    from repro.bench.config import BenchConfig
+
+    mixed = RunSpec(system="sllm", scale="Quick")
+    assert mixed.scale == "quick"
+    assert mixed == RunSpec(system="sllm", scale="quick")
+    assert mixed.fingerprint() == RunSpec(system="sllm", scale="quick").fingerprint()
+    assert mixed.label() == RunSpec(system="sllm", scale="quick").label()
+    assert RunSpec.from_dict({"system": "sllm", "scale": "SMOKE"}).scale == "smoke"
+    assert BenchConfig(scale="Smoke").scale == "smoke"

@@ -122,7 +122,7 @@ def test_shard_merge_is_associative():
     right = merge_run_reports([a, merge_run_reports([b, c])])
     # Integer state is bit-identical under any grouping; float sums
     # agree to rounding.
-    assert left.ttft_cdf().to_dict()["bins"] == right.ttft_cdf().to_dict()["bins"]
+    assert left.ttft_cdf().encode()["bins"] == right.ttft_cdf().encode()["bins"]
     assert left.total_requests == right.total_requests
     assert left.batch_histogram == right.batch_histogram
     assert left.node_seconds_cpu == pytest.approx(right.node_seconds_cpu, rel=1e-12)
