@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.runner import current_scale, default_workers, get_scale
+from repro.runner import check_workers, current_scale, default_workers, get_scale
 from repro.runner.env import env_int
 
 #: measurement protocol defaults: warm once, keep the best of three
@@ -37,6 +37,7 @@ class BenchConfig:
     def __post_init__(self) -> None:
         # Unknown scales fail fast, not mid-suite; known ones are canonical.
         object.__setattr__(self, "scale", get_scale(self.scale).label)
+        check_workers(self.workers)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.warmup < 0:

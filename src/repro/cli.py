@@ -65,6 +65,7 @@ from repro.runner import (
     RunSpec,
     SweepExecutor,
     build_workload,
+    check_workers,
     default_workers,
     execute_spec,
     expand_grid,
@@ -74,6 +75,14 @@ from repro.runner.env import EnvSettingError
 
 def _csv(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
+
+
+def _workers(raw: str) -> int:
+    """``--workers`` values: rejected (exit 2) unless a positive integer."""
+    try:
+        return check_workers(raw)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _parse_policy_axes(flags: list[str]) -> dict[str, list[str]]:
@@ -558,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'repro list federations')",
     )
     sweep.add_argument(
-        "--workers", type=int, default=default_workers(),
+        "--workers", type=_workers, default=default_workers(),
         help="worker processes (default: REPRO_WORKERS or 1)",
     )
     sweep.add_argument("--no-cache", action="store_true", help="always re-simulate")
@@ -638,7 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--repeats", type=int, default=None, help="timed rounds per case")
     bench.add_argument("--warmup", type=int, default=None, help="untimed warmup rounds")
-    bench.add_argument("--workers", type=int, default=None, help="sweep-case worker processes")
+    bench.add_argument(
+        "--workers", type=_workers, default=None, help="sweep-case worker processes"
+    )
     bench.add_argument("--out", default=".", help="directory for BENCH_core.json (default: .)")
     bench.add_argument("--only", default="", help="comma list of case names to run")
     bench.add_argument(

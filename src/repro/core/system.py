@@ -275,11 +275,14 @@ class ServingSystem:
         Cutting the system's edges to its policies, simulator, perf
         database, metrics, bus, observers and engine lets refcounting
         free the bulk of it as soon as the caller drops the system.
-        Events still pending at the horizon are discarded first: they
-        hold the engine's dead decode chains.  Call it once the report
-        is built.
+        Events still pending at the horizon are discarded first, and the
+        live instances drop the batch profiles that hold the engine's
+        decode-chain states.  Call it once the report is built.
         """
         self.sim.clear()
+        for instances in self._instances_by_deployment.values():
+            for instance in instances:
+                instance.drop_profile()
         del self.policies, self.sim, self.perf, self.metrics, self.bus
         del self.observers, self.engine, self._note_decode
 
@@ -512,6 +515,7 @@ class ServingSystem:
             hint.pop(instance.inst_id, None)
         instance.node.instances.remove(instance)
         self._instances_by_deployment[instance.deployment].remove(instance)
+        instance.drop_profile()
         self.bus.publish(InstanceUnloaded(instance, self.sim.now))
 
     def executor_for(self, instance: Instance) -> Executor:

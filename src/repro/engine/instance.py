@@ -23,7 +23,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.engine.kvcache import BLOCK_TOKENS, KVCache
 
@@ -71,9 +71,15 @@ class BatchProfile:
     ``shared_blocks`` is ``Σ shared_i / BT``: shared prefixes are
     block-aligned, so a member's private tail holds exactly its
     ``⌈c_i/BT⌉`` blocks minus its shared ones, and step-ups are unchanged.
+
+    ``chain_state`` is the vectorized engine's decode-chain state for this
+    version, built at its first chain arm (``None`` until then).
     """
 
-    __slots__ = ("version", "g0", "blocks0", "crossings", "finish_at", "shared_blocks", "_quiet")
+    __slots__ = (
+        "version", "g0", "blocks0", "crossings", "finish_at", "shared_blocks", "_quiet",
+        "chain_state",
+    )
 
     def __init__(self, batch: Sequence[Request], version: int, grants: int) -> None:
         self.version = version
@@ -95,6 +101,7 @@ class BatchProfile:
         self.shared_blocks = shared // BLOCK_TOKENS
         self.finish_at = grants + finish
         self._quiet: tuple = (None, 0)
+        self.chain_state: Any = None
 
     def blocks(self, grants: int) -> int:
         """KV blocks the members hold after ``grants`` grants."""
@@ -201,6 +208,16 @@ class Instance:
         if profile is None or profile.version != self.batch_version:
             profile = self._profile = BatchProfile(self.batch, self.batch_version, self.grants)
         return profile
+
+    def drop_profile(self) -> None:
+        """Forget the cached profile, and the engine chain state cached on it.
+
+        The serving system calls this when the instance unloads and when
+        its finished run is released: the instance graph is reference-
+        cyclic, so whatever an instance caches otherwise lives until the
+        cyclic collector runs.
+        """
+        self._profile = None
 
     def live_kv_bytes(self) -> int:
         """Bytes of KV-cache currently holding live context."""

@@ -51,7 +51,7 @@ from repro.federation.partition import shard_stream
 from repro.federation.router import GlobalRouter, make_router
 from repro.federation.spec import Federation, ShardWorkerError, resolve_federation
 from repro.metrics.report import RunReport, merge_run_reports
-from repro.runner.executor import build_system, default_workers
+from repro.runner.executor import build_system, check_workers, default_workers
 from repro.runner.spec import (
     RunResult,
     RunSpec,
@@ -351,7 +351,7 @@ def run_federation(
         raise ValueError("run_federation needs a spec with a federation axis")
     federation = resolve_federation(spec.federation)
     router = make_router(federation)
-    worker_cap = default_workers() if workers is None else max(1, workers)
+    worker_cap = default_workers() if workers is None else check_workers(workers)
     processes = min(federation.shards, worker_cap)
     shard_ids = list(range(federation.shards))
 

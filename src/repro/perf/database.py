@@ -39,7 +39,6 @@ class PerfDatabase:
     jitter_sigma: float = 0.02
     seed: int = 0
     _laws: dict[_Key, LatencyLaw] = field(default_factory=dict, repr=False)
-    _kernels: dict[_Key, DecodeKernel] = field(default_factory=dict, repr=False)
     _quantified: dict[_Key, QuantifiedPerf] = field(default_factory=dict, repr=False)
     _rng: np.random.Generator = field(init=False, repr=False)
     _jitter_buf: list[float] = field(init=False, repr=False)
@@ -74,20 +73,13 @@ class PerfDatabase:
         fraction: float = 1.0,
         tp_degree: int = 1,
     ) -> DecodeKernel:
-        """Hoisted decode-law coefficients (bit-identical to the law).
+        """The cached law's decode coefficients (see :class:`DecodeKernel`).
 
         Engine backends that evaluate many decode iterations per
-        Python-level step fetch the kernel once per (hardware, model,
-        fraction, TP) combination and apply only its two multiply-adds
-        per tick; ``DecodeKernel.seconds`` reproduces
-        ``law.decode_seconds`` exactly.
+        Python-level step fetch the kernel once per batch and apply only
+        its two multiply-adds per tick.
         """
-        key = (hardware.name, model.name, round(fraction, 6), tp_degree)
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = self.law(hardware, model, fraction, tp_degree).decode_kernel()
-            self._kernels[key] = kernel
-        return kernel
+        return self.law(hardware, model, fraction, tp_degree).decode_kernel()
 
     def quantified(
         self,

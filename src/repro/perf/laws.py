@@ -34,6 +34,7 @@ measured 0.3 s (32→16 GB) and 1.9 s (32→64 GB).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.hardware.specs import HardwareKind, HardwareSpec
 from repro.models.catalog import ModelSpec
@@ -79,13 +80,12 @@ def tp_speedup(tp_degree: int) -> float:
 class DecodeKernel:
     """The decode law reduced to coefficients of ``(batch_size, avg_context)``.
 
-    ``seconds`` evaluates the *same* floating-point expression as
-    :meth:`LatencyLaw.decode_seconds`, with every associativity preserved,
-    so the two are bit-identical (pinned by
-    ``tests/perf/test_decode_kernel.py``).  The point of the split is
-    batching: an engine backend hoists the per-(hardware, model) constants
-    out of its per-iteration loop and evaluates only the two
-    multiply-adds per tick.
+    The one spelling of the decode law: :meth:`LatencyLaw.decode_seconds`
+    evaluates ``seconds``, and an engine backend hoists the
+    per-(hardware, model) constants out of its per-iteration loop and
+    evaluates only the two multiply-adds per tick.
+    ``tests/perf/test_decode_kernel.py`` pins it bit-for-bit against the
+    law written out term by term.
     """
 
     const_ms: float  # batch-independent part of base_ms
@@ -155,36 +155,16 @@ class LatencyLaw:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if avg_context_len < 0:
             raise ValueError("avg_context_len must be non-negative")
-        scale = self.model.compute_scale
-        kv_scale = self.model.kv_scale
-        if self.hardware.is_cpu:
-            base_ms = (
-                CPU_DECODE_CONST_MS
-                + CPU_DECODE_SCALE_MS * scale
-                + CPU_DECODE_PER_SEQ_MS * scale * batch_size
-                + CPU_DECODE_PER_TOKEN_MS * kv_scale * batch_size * avg_context_len
-            )
-            slowdown = self.hardware.decode_factor * fractions.cpu_decode_slowdown(self.fraction)
-            return base_ms * slowdown / 1000.0
-        weights_gib = self.model.weight_bytes / GIB
-        kv_ms_per_token = self.model.kv_bytes_per_token / GPU_HBM_BYTES_PER_MS
-        base_ms = (
-            GPU_DECODE_CONST_MS
-            + GPU_DECODE_WEIGHTS_MS_PER_GIB * weights_gib
-            + GPU_DECODE_PER_SEQ_MS * scale * batch_size
-            + kv_ms_per_token * batch_size * avg_context_len
-        )
-        slowdown = self.hardware.decode_factor * fractions.gpu_decode_slowdown(self.fraction)
-        return base_ms * slowdown / (1000.0 * tp_speedup(self.tp_degree))
+        return self._decode_kernel.seconds(batch_size, avg_context_len)
 
     def decode_kernel(self) -> DecodeKernel:
-        """The decode law's coefficients, hoisted for batched evaluation.
+        """The decode law's coefficients, hoisted for batched evaluation."""
+        return self._decode_kernel
 
-        Every coefficient below reproduces one left-associated partial
-        product of :meth:`decode_seconds`, so
-        ``decode_kernel().seconds(b, c) == decode_seconds(b, c)`` holds
-        bit-for-bit — not merely to within rounding.
-        """
+    @cached_property
+    def _decode_kernel(self) -> DecodeKernel:
+        # CPU: (15 + 52·s) + 1.16·s·B + 0.0028·k·B·L ms; GPU: the weights-
+        # read floor + per-sequence FFN + KV traffic (module docstring).
         scale = self.model.compute_scale
         if self.hardware.is_cpu:
             return DecodeKernel(

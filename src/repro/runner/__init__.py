@@ -19,6 +19,7 @@ from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.executor import (
     SweepExecutor,
     build_system,
+    check_workers,
     default_workers,
     execute_spec,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "build_system",
     "build_workload",
     "build_workload_stream",
+    "check_workers",
     "current_scale",
     "default_cache_dir",
     "default_workers",

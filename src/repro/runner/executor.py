@@ -25,17 +25,26 @@ from repro.runner.env import env_setting
 from repro.runner.spec import RunResult, RunSpec, axis_value, build_workload_stream
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ValueError(raw)
-    return value
+def check_workers(value: int | str) -> int:
+    """``value`` as a worker count; ``ValueError`` unless a positive integer.
+
+    The one check behind every worker setting: ``REPRO_WORKERS``, both
+    ``--workers`` flags, :class:`SweepExecutor`, ``run_federation`` and
+    ``BenchConfig``.
+    """
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"workers must be a positive integer, got {value!r}")
+    return count
 
 
 def default_workers() -> int:
     """Worker-count default from the ``REPRO_WORKERS`` environment variable
     (unset or empty: 1; anything but a positive integer is an error)."""
-    return env_setting("REPRO_WORKERS", 1, _positive_int, "a positive integer")
+    return env_setting("REPRO_WORKERS", 1, check_workers, "a positive integer")
 
 
 def build_system(spec: RunSpec, **system_kwargs: Any):
@@ -112,7 +121,7 @@ class SweepExecutor:
         workers: int | None = None,
         cache: ResultCache | None = None,
     ) -> None:
-        self.workers = max(1, workers) if workers is not None else default_workers()
+        self.workers = default_workers() if workers is None else check_workers(workers)
         self.cache = cache
 
     def run(self, specs: Sequence[RunSpec]) -> list[RunResult]:

@@ -15,27 +15,28 @@ loop to an *engine backend*.  The seam contract:
 Two backends are registered:
 
 * ``vectorized`` (the default) — batches runs of consecutive decode
-  iterations into array-level work.  Each chained instance keeps its
-  batch's deadline coefficients and precomputed step tables in plain
-  per-instance state; per-iteration timestamps, deadline/violation
-  predicates, token counts and the decode latency law resolve as batched
-  operations per chain flush; jitter comes from the chunked PerfDatabase
-  stream in scalar order.  Results are **byte-identical** to the
-  reference backend: the fast path only ever covers iterations proven
-  (ahead of time) to be observationally silent — no request completes,
-  no non-decode event interleaves on that executor, every
-  ``IterationFinished`` handler is a
+  iterations into array-level work.  Each instance's chain state (its
+  batch's members, deadline coefficients, kernel coefficients and
+  precomputed step tables) is built once per ``batch_version`` and
+  cached on that version's :class:`~repro.engine.instance.BatchProfile`;
+  every chain arm re-arms the cached states at the instances' current
+  grant counts, so only a version's first arm costs O(batch) per
+  instance, and budgets come from the same profile.  Per-iteration timestamps,
+  deadline/violation predicates, token counts and the decode latency law
+  resolve as batched operations per chain flush; jitter comes from the
+  chunked PerfDatabase stream in scalar order.  Results are
+  **byte-identical** to the reference backend: the fast path only ever
+  covers iterations proven (ahead of time) to be observationally silent
+  — no request completes, no non-decode event interleaves on that
+  executor, every ``IterationFinished`` handler is a
   :class:`~repro.policies.events.DecodeChainHandler` whose
   ``quiet_steps`` admits the run (its ``fold`` replays it at the flush)
   — and every batched computation replicates the scalar float
-  expressions operation-for-operation.  The proofs cost O(1) per chain
-  arm, not O(batch): a state is keyed by its instance's
-  ``batch_version`` and ``grants`` counters, and budgets come from the
-  instance's cached :class:`~repro.engine.instance.BatchProfile`; a
-  flush skips the per-member deadline scan when every pending step met
-  the batch's minimum deadline (``minD``).  Anything unproven falls back to
-  the reference machinery, from single events up to whole runs (another
-  ``IterationFinished`` subscriber, an overridden ``select``).
+  expressions operation-for-operation.  A flush skips the per-member
+  deadline scan when every pending step met the batch's minimum deadline
+  (``minD``).  Anything unproven falls back to the reference machinery,
+  from single events up to whole runs (another ``IterationFinished``
+  subscriber, an overridden ``select``).
 * ``reference`` — delegates straight to ``Simulator.run``; zero
   behavioural footprint.  It is the parity oracle the vectorized
   backend is tested against.
@@ -127,50 +128,49 @@ def resolve_engine(
 # ----------------------------------------------------------------------
 # Vectorized backend
 # ----------------------------------------------------------------------
-class _Candidate:
-    """Sentinel chain for freshly scheduled decode finishes."""
-
-    __slots__ = ()
-    alive = False
-
-
-_CANDIDATE = _Candidate()
+#: ``EventHandle.chain`` of a decode finish that no live chain owns: a
+#: fresh one from the reference kick, or one a flush handed back
+_CANDIDATE = object()
 
 
 class _InstState:
-    """Per-instance decode-chain state (one runnable instance).
+    """One batch version's decode-chain state, cached on its BatchProfile.
 
-    ``base``/``tpot``/``tok0`` are the deadline coefficients of the
-    batch members at state build (immutable thereafter), taken at the
-    instance's ``batch_version`` ``version`` and grant count ``g0``: the
-    state describes the batch for as long as the version holds, and the
-    members then hold ``tok0 + (grants − g0)`` tokens.  ``k`` counts
-    tokens granted to this batch since the state was built (absolute —
-    never reset), ``done`` how many of those a flush has already
-    applied, ``ts`` the pending grant timestamps.  ``minD``/``A`` are
-    the precomputed step tables: ``minD[k]`` is the batch's minimum
-    next-token deadline after ``k`` grants (the work-selection urgency
-    is ``minD[k] - now``) and ``A[k]`` the jitter-free iteration
-    duration at that point, so the per-event fast path is two table
-    lookups instead of per-request arithmetic.  Both are flat
-    ``array('d')`` buffers (8 bytes an entry, no boxed floats), filled
-    lazily (``_fill_tables``) from the stored kernel coefficients
+    Built at the version's first chain arm, at grant count ``g0``:
+    ``reqs`` are the members and ``base``/``tpot``/``tok0`` their Eq. 1
+    deadline coefficients.  While the version holds, every grant gives
+    every member one token (``ServingSystem._finish_decode`` bumps a
+    version that changed mid-grant once more), so the members hold
+    ``tok0 + (grants − g0)`` tokens.  Step indices count grants since
+    ``g0``.  ``minD``/``A`` are the precomputed step tables: ``minD[k]``
+    is the batch's minimum next-token deadline after ``k`` grants (the
+    work-selection urgency is ``minD[k] - now``) and ``A[k]`` the
+    jitter-free iteration duration at that point, so the per-event fast
+    path is two table lookups instead of per-request arithmetic.  Both
+    are flat ``array('d')`` buffers (8 bytes an entry, no boxed floats),
+    filled lazily (``_fill_tables``) from the kernel coefficients
     ``Pb``/``Qb``/``mul``/``den`` and the initial context sum ``S0``.
-    ``budget`` is the last step index the fast path may schedule
-    (bounded by earliest completion and the handlers' quiet steps).
+
+    The rest is the current arm's cursor: ``k`` is the step index of the
+    latest grant, ``ts`` the timestamps of the grants not yet flushed
+    (the last ``len(ts)`` of the ``k``; empty at every arm), and
+    ``budget`` the last step index the fast path may schedule (bounded by
+    the earliest completion and the handlers' quiet steps); every arm
+    sets ``k`` and ``budget`` afresh.
+
+    A state holds no reference to its instance (the chain pairs them):
+    a back-pointer would close the cycle instance → profile → state →
+    instance, which outlives the run without the cyclic collector.
     """
 
     __slots__ = (
-        "instance",
         "reqs",
-        "version",
         "g0",
         "B",
         "base",
         "tpot",
         "tok0",
         "k",
-        "done",
         "ts",
         "budget",
         "minD",
@@ -184,31 +184,23 @@ class _InstState:
 
 
 class _ExecChain:
-    """A live run of chainable decode iterations on one executor."""
+    """A live run of chainable decode iterations on one executor.
 
-    __slots__ = ("executor", "states", "pending", "handle", "lat", "alive", "handlers")
+    ``states[i]`` is the armed state of instance ``insts[i]``.
+    """
 
-
-def _quiet_budget(instance, handlers) -> int:
-    """Steps a chain may take: one short of the earliest completion (the
-    completing iteration runs scalar), clipped by every handler's quiet
-    steps (e.g. the watermark check staying a no-op)."""
-    cap = instance.batch_profile().steps_to_completion(instance.grants) - 1
-    for handler in handlers:
-        if cap <= 0:
-            break
-        cap = handler.quiet_steps(instance, cap)
-    return cap
+    __slots__ = ("executor", "states", "insts", "pending", "handle", "lat", "handlers")
 
 
-def _decode_args(executor, st: _InstState) -> tuple:
-    """Reference-shaped args of ``st``'s decode-finish event.
+def _decode_args(chain: _ExecChain, st: _InstState) -> tuple:
+    """Reference-shaped args of the decode-finish event of ``st``'s instance.
 
     ``WorkItem.urgency`` is only ever read during work selection, never
     after scheduling, so its placeholder is unobservable.
     """
-    item = WorkItem(instance=st.instance, kind=WorkKind.DECODE, request=None, urgency=0.0)
-    return (executor, item, st.B)
+    instance = chain.insts[chain.states.index(st)]
+    item = WorkItem(instance=instance, kind=WorkKind.DECODE, request=None, urgency=0.0)
+    return (chain.executor, item, st.B)
 
 
 @ENGINES.register("vectorized")
@@ -222,11 +214,6 @@ class VectorizedEngine(EngineBackend):
         self._live: list[_ExecChain] = []
         self._classified_for: Optional[tuple] = None
         self._classified: Optional[tuple] = None
-        # Last detached chain per executor: a budget-exhausted chain
-        # whose world survives the scalar iteration (the common case
-        # when the budget was a quiet-steps window, not a completion)
-        # is resumed from here instead of rebuilt.
-        self._parked: dict = {}
 
     # ------------------------------------------------------------------
     # Seam hooks
@@ -262,7 +249,7 @@ class VectorizedEngine(EngineBackend):
                 sim.now = t
                 chain = handle.chain
                 if chain is not None:
-                    if not chain.alive:
+                    if chain is _CANDIDATE:
                         chain = self._try_chain(handle)
                     if chain is not None:
                         n = self._burst(
@@ -296,8 +283,8 @@ class VectorizedEngine(EngineBackend):
         overhead: no callback can run in between, so the engine steps the
         chain in place.  When another *live chain's* step is next, the
         burst hops to it directly (one push/pop, but no main-loop
-        dispatch).  Scalar events, candidate handles, and dead chains
-        fall back to the main loop.  Skipping the intermediate pushes
+        dispatch).  Scalar events and candidate handles fall back to the
+        main loop.  Skipping the intermediate pushes
         skips their sequence-counter draws, which is unobservable: every
         event already in the heap was pushed earlier in both engines, so
         tie-breaking against the chain handle resolves identically.
@@ -393,7 +380,7 @@ class VectorizedEngine(EngineBackend):
                     break
                 # Another event fires first (ties included: it was
                 # pushed earlier, so its sequence number is smaller in
-                # both engines).  Park the chain handle and either hop
+                # both engines).  Push the chain handle back and either hop
                 # to the next live chain step or yield to the main loop.
                 chain.executor.busy_until = t2
                 handle.time = t2
@@ -402,7 +389,7 @@ class VectorizedEngine(EngineBackend):
                     return n
                 nxt = heap[0][2]
                 c2 = nxt.chain
-                if c2 is None or c2 is _CANDIDATE or not c2.alive:
+                if c2 is None or c2 is _CANDIDATE:
                     return n
                 pop(heap)
                 sim.now = t = top_t
@@ -447,13 +434,10 @@ class VectorizedEngine(EngineBackend):
         return c, float(path[c])
 
     def _detach(self, chain, handle, best) -> None:
-        handle.args = _decode_args(chain.executor, best)
+        handle.args = _decode_args(chain, best)
         handle.chain = None
         self._flush_chain(chain)
-        chain.alive = False
-        chain.handle = None
         self._live.remove(chain)
-        self._parked[chain.executor] = chain
 
     # ------------------------------------------------------------------
     # Chain construction
@@ -476,142 +460,97 @@ class VectorizedEngine(EngineBackend):
         return self._classified
 
     def _try_chain(self, handle) -> Optional[_ExecChain]:
-        """Validate and build a chain at a decode-finish pop, or None.
+        """Arm a chain at a decode-finish pop, or return None.
 
         ``handle`` was popped at ``sim.now`` and is the iteration
         finish of ``handle.args``'s work item (args are authoritative:
         either the reference kick built them or a flush restored them).
-        A resume is tried first, of the flushed-out chain the handle
-        still points at or, for a fresh candidate, of the executor's
-        parked chain: if nothing observable changed, its precomputed
-        tables are revived with fresh budgets instead of being rebuilt —
-        and if the revived pending budget is spent, a rebuild would find
-        the same budget (same instance, same handlers, same world), so
-        no chain is armed.
+        Every runnable instance on the executor contributes its batch
+        version's state, built at the version's first arm and re-armed
+        here at the instance's current grant count with a fresh budget:
+        the event that ended the last chain may have changed the
+        completions ahead or the handlers' quiet steps.
         """
         handlers = self._classify()
         if handlers is None:
             return None
-        system = self.system
         executor, item, batch_size = handle.args
         instance = item.instance
-        runnable = system.runnable_instances(executor)
-        if not runnable:
-            return None
-        # Cheap screen before any resume or state build: a pending
-        # prefill could win selection mid-chain, and an instance with an
-        # empty batch has nothing to chain.
+        if len(instance.batch) != batch_size:
+            return None  # membership changed since the kick
+        runnable = self.system.runnable_instances(executor)
+        # Cheap screen before any state work: a pending prefill could win
+        # selection mid-chain, and an instance with an empty batch has
+        # nothing to chain.
         for inst in runnable:
             if inst.prefill_pending or not inst.batch:
                 return None
-        prior = handle.chain if handle.chain is not _CANDIDATE else self._parked.get(executor)
-        if prior is not None:
-            pending = self._resume(prior, runnable, instance, batch_size, handlers)
-            if pending is not None:
-                if pending.budget <= pending.k:
-                    return None
-                return self._arm(prior.states, pending, executor, handle, handlers)
-        perf = system.perf
         states: list[_InstState] = []
         pending = None
         for inst in runnable:
-            batch = inst.batch
+            profile = inst.batch_profile()
+            st = profile.chain_state
+            if st is None:
+                st = profile.chain_state = self._build_state(inst)
+            grants = inst.grants
+            st.k = k = grants - st.g0
+            # Steps the chain may take: one short of the earliest
+            # completion (the completing iteration runs scalar), clipped
+            # by every handler's quiet steps (e.g. the watermark check
+            # staying a no-op).
+            cap = profile.finish_at - grants - 1
+            for handler in handlers:
+                if cap <= 0:
+                    break
+                cap = handler.quiet_steps(inst, cap)
+            st.budget = k + cap
+            if k >= len(st.A):
+                # Selection reads minD[k] / A[k] of every state.
+                self._fill_tables(st, k + min(max(cap, 0), _TABLE_SEED) + 1)
             if inst is instance:
-                if len(batch) != batch_size:
-                    return None  # membership changed since the kick
-                pending = st = self._build_state(inst, batch, perf, handlers)
-            else:
-                st = self._build_state(inst, batch, perf, handlers)
-            states.append(st)
-        if pending is None or pending.budget < 1:
-            return None
-        return self._arm(states, pending, executor, handle, handlers)
-
-    def _resume(self, dead, runnable, instance, batch_size, handlers) -> Optional[_InstState]:
-        """Revive a flushed chain's states if their world did not change.
-
-        The caller has screened out pending prefills and empty batches.
-        Valid when the runnable set is identical (same objects, same
-        order) to the dead chain's and no batch was joined or left since
-        its state was built (``batch_version`` unchanged): the requests'
-        deadline coefficients are immutable, and every grant since —
-        this chain's own flushes or, for a *parked* chain, the whole
-        scalar iterations of its interlude (the detach + watermark-
-        rescale cycle) — gave every member one token, so the absolute
-        step index is rebased by ``delta = grants − g0 − done`` and the
-        ``minD`` / ``A`` tables (functions of steps-since-build) remain
-        exact.  Budgets are re-derived — the interrupting event may have
-        changed completions-ahead or the handlers' quiet steps.  Returns
-        the pending state (``instance``'s), or None when the world
-        changed.
-        """
-        states = dead.states
-        if len(states) != len(runnable):
-            return None
-        pending = None
-        for st, inst in zip(states, runnable):
-            if st.instance is not inst or st.version != inst.batch_version:
-                return None
-            if inst is instance:
-                if len(inst.batch) != batch_size:
-                    return None
                 pending = st
-        if pending is None:
+            states.append(st)
+        if pending is None or pending.budget <= pending.k:
             return None
-        for st in states:
-            delta = st.instance.grants - st.g0 - st.done
-            if delta:
-                st.done = st.k = st.done + delta
-                if st.k >= len(st.minD):
-                    # The rebase can jump past the lazily-filled tables;
-                    # selection reads minD[k]/A[k] for *every* state, so
-                    # restore the len > k invariant here (the burst loop
-                    # only back-fills the pending state).
-                    self._fill_tables(st, st.k + 1)
-            st.budget = st.k + _quiet_budget(st.instance, handlers)
-        return pending
+        return self._arm(states, runnable, pending, executor, handle, handlers)
 
-    def _arm(self, states, pending, executor, handle, handlers) -> _ExecChain:
+    def _arm(self, states, insts, pending, executor, handle, handlers) -> _ExecChain:
         chain = _ExecChain()
         chain.executor = executor
         chain.handlers = handlers
         chain.states = states
+        chain.insts = insts
         chain.pending = pending
         chain.handle = handle
         chain.lat = self.system.policies.work.latency_factor(
             self.system, executor, WorkKind.DECODE
         )
-        chain.alive = True
         handle.chain = chain
         self._live.append(chain)
-        self._parked.pop(executor, None)
         return chain
 
-    def _build_state(self, inst, batch, perf, handlers) -> _InstState:
+    def _build_state(self, inst) -> _InstState:
+        """The chain state of ``inst``'s current batch version (unarmed)."""
         st = _InstState()
-        st.instance = inst
-        st.reqs = reqs = list(batch)
-        st.version = inst.batch_version
         st.g0 = inst.grants
+        st.reqs = reqs = list(inst.batch)
         # Deadline coefficients straight from the requests, as the exact
         # partial sums of Request.next_token_deadline.
-        base = st.base = [r.deadline_base for r in reqs]
-        tpot = st.tpot = [r.tpot_slo for r in reqs]
-        tok0 = st.tok0 = [r.tokens_out for r in reqs]
+        st.base = [r.deadline_base for r in reqs]
+        st.tpot = [r.tpot_slo for r in reqs]
+        st.tok0 = [r.tokens_out for r in reqs]
         B = st.B = len(reqs)
-        st.k = 0
-        st.done = 0
         st.ts = []
-        kernel = perf.decode_kernel(inst.node.spec, inst.model, inst.fraction, inst.tp_degree)
+        kernel = self.system.perf.decode_kernel(
+            inst.node.spec, inst.model, inst.fraction, inst.tp_degree
+        )
         st.Pb = kernel.const_ms + kernel.per_seq_ms * B
         st.Qb = kernel.per_token_ms * B
         st.mul = kernel.slowdown
         st.den = kernel.denom
         st.S0 = sum(r.context_len for r in reqs)
-        st.budget = cap = _quiet_budget(inst, handlers)
         st.minD = array("d")
         st.A = array("d")
-        self._fill_tables(st, min(max(cap, 0), _TABLE_SEED) + 1)
         return st
 
     def _fill_tables(self, st: _InstState, n: int) -> None:
@@ -649,49 +588,45 @@ class VectorizedEngine(EngineBackend):
     # ------------------------------------------------------------------
     def _flush_all(self) -> None:
         for chain in self._live:
-            # The chain is dying (an external event fires next); its
-            # armed successor must be indistinguishable from one the
-            # reference kick scheduled.  ``handle.chain`` keeps pointing
-            # at the dead chain so the pop revalidates (and possibly
-            # re-chains) from the args; dropping the reverse edge leaves
-            # no cycle, so refcounting frees the chain once nothing
-            # resumes it.
-            chain.handle.args = _decode_args(chain.executor, chain.pending)
+            # The chain dies (an external event fires next).  Its handle
+            # stays in the heap as a fresh candidate with reference-shaped
+            # args, indistinguishable from one the reference kick
+            # scheduled: its pop re-arms a chain or runs scalar.
+            handle = chain.handle
+            handle.args = _decode_args(chain, chain.pending)
+            handle.chain = _CANDIDATE
             self._flush_chain(chain)
-            chain.alive = False
-            chain.handle = None
         self._live.clear()
 
     def _flush_chain(self, chain) -> None:
-        for st in chain.states:
-            if st.k > st.done:
-                self._flush_state(st, chain.handlers)
+        for st, inst in zip(chain.states, chain.insts):
+            if st.ts:
+                self._flush_state(st, inst, chain.handlers)
 
-    def _flush_state(self, st: _InstState, handlers) -> None:
-        m = st.k - st.done
-        first_ts = st.ts[0]
+    def _flush_state(self, st: _InstState, instance, handlers) -> None:
+        ts = st.ts
+        m = len(ts)
         _mark_late(st)
+        first_ts = ts[0]
         for request in st.reqs:
             if request.first_token_at is None:
                 request.first_token_at = first_ts
             request.tokens_out += m
-        instance = st.instance
         instance.grants += m
         for handler in handlers:
             handler.fold(instance, st.B, m)
-        st.done = st.k
         st.ts = []
 
 
 def _mark_late(st: _InstState) -> None:
     """Set ``violation_at`` for the members ``st``'s pending grants made late.
 
-    Batched replication of the m = k − done pending ``record_tokens``
-    sweeps, at the timestamps ``ts``: member i's deadline at step j < m
-    is ``base_i + tpot_i·(tok0_i + done + j)`` (token counts are absolute
-    from state build), the same two float ops as the scalar property,
-    and the violation test is ``ts_j > deadline + EPS`` with
-    pre-increment token counts.
+    Batched replication of the m = len(ts) pending ``record_tokens``
+    sweeps, at the timestamps ``ts``: with ``done = k − m`` grants since
+    the state's build already applied, member i's deadline at step j < m
+    is ``base_i + tpot_i·(tok0_i + done + j)``, the same two float ops
+    as the scalar property, and the violation test is
+    ``ts_j > deadline + EPS`` with pre-increment token counts.
 
     Screen first: ``minD[done + j]`` is the minimum of those very
     deadlines, and ``x ↦ fl(x + EPS)`` is monotone, so a step that meets
@@ -701,8 +636,8 @@ def _mark_late(st: _InstState) -> None:
     below _VECTOR_MIN.
     """
     ts = st.ts
-    done = st.done
-    m = st.k - done
+    m = len(ts)
+    done = st.k - m
     for t, earliest in zip(ts, st.minD[done : done + m]):
         if t > earliest + EPS:
             break

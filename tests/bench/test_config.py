@@ -49,6 +49,15 @@ def test_invalid_protocol_rejected():
         BenchConfig(warmup=-1)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(monkeypatch, workers):
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        BenchConfig(workers=workers)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        BenchConfig.from_env(workers=workers)
+
+
 @pytest.mark.parametrize(
     "name, value, message",
     [

@@ -153,15 +153,16 @@ def _flush(draw):
         late = math.nextafter(edge, math.inf)
         choices = [deadline - 0.05, deadline, edge, late, deadline + 1.5 * EPS, deadline + 0.05]
         ts.append(draw(st.sampled_from(choices)))
+    # ``done`` grants already applied, the last ``m`` still pending.
     state.ts = ts
-    state.done = done
     state.k = done + m
     return state
 
 
 def _scanned(state) -> list:
     """The per-member scan: the scalar record_tokens test, step by step."""
-    ts, done, m = state.ts, state.done, state.k - state.done
+    ts, m = state.ts, len(state.ts)
+    done = state.k - m
     marks = []
     for i, request in enumerate(state.reqs):
         mark = request.violation_at

@@ -45,3 +45,23 @@ def test_invalid_value_fails_naming_the_variable(monkeypatch, capsys, name, valu
     argv = ["list", "systems"] if name == "REPRO_WORKERS" else ["experiment", "fig22"]
     assert main(argv) == 2
     assert f"{name}={value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--systems", "sllm", "--models", "2", "--duration", "10", "--no-cache"],
+        ["bench", "--scale", "smoke", "--only", "workload-synthesis"],
+    ],
+    ids=["sweep", "bench"],
+)
+def test_workers_flag_must_be_a_positive_integer(monkeypatch, capsys, tmp_path, command, value):
+    # The explicit flags get the check REPRO_WORKERS gets: a usage error
+    # (exit 2) before anything runs, not a silent single worker.
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--workers", value, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"workers must be a positive integer, got {value!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

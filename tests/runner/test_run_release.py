@@ -17,7 +17,7 @@ import pytest
 
 import repro.runner.executor as executor_module
 from repro.runner import RunSpec, execute_spec
-from repro.sim.engine import VectorizedEngine, _ExecChain
+from repro.sim.engine import VectorizedEngine, _ExecChain, _InstState
 
 
 @pytest.fixture
@@ -79,3 +79,6 @@ def test_vectorized_run_leaves_no_chain_only_in_cycles(monkeypatch, collector_of
     gc.set_debug(gc.DEBUG_SAVEALL)
     gc.collect()
     assert not [obj for obj in gc.garbage if isinstance(obj, _ExecChain)]
+    # Chain states are cached on the instances' batch profiles; one that
+    # pointed back at its instance would close a cycle through it.
+    assert not [obj for obj in gc.garbage if isinstance(obj, _InstState)]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.federation.runner import run_federation
 from repro.runner import (
     ResultCache,
     RunResult,
@@ -222,6 +223,16 @@ def test_workers_env_default(monkeypatch):
         SweepExecutor()
     monkeypatch.delenv("REPRO_WORKERS")
     assert SweepExecutor().workers == 1
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_explicit_workers_below_one_are_rejected(workers):
+    # Rejected like REPRO_WORKERS=0, not raised to one worker.
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        SweepExecutor(workers=workers)
+    fleet = RunSpec(system="slinfer", federation="fleet4", **TINY)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        run_federation(fleet, workers=workers)
 
 
 def test_system_kwargs_pass_through():
